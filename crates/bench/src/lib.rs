@@ -1434,7 +1434,8 @@ pub fn cluster_bench_to_json(r: &ClusterBench) -> String {
          kernel_total / daemons is the roster's kernel time on one core per \
          daemon. kernel_speedup = baseline_kernel * jobs / kernel_critical. \
          Wall rows serialize on this machine's cores and carry framing, \
-         per-span dataset re-reads and merging; their share is \
+         scorer set-up and merging (peers parse the dataset once and then \
+         serve spans from their dataset cache); their share is \
          comm_overhead_share. single_process_wall_secs runs the same jobs in \
          one process granted threads equal to the largest roster.\","
     );

@@ -103,6 +103,23 @@ pub fn validate_boot(
     classlabel: &[u8],
     opts: &PmaxtOptions,
 ) -> Result<(ClassLabels, u64, Matrix)> {
+    let (labels, b) = check_boot(data, classlabel, opts)?;
+    let owned = match opts.na {
+        Some(code) => {
+            Matrix::from_vec_with_na(data.rows(), data.cols(), data.as_slice().to_vec(), code)?
+        }
+        None => data.clone(),
+    };
+    Ok((labels, b, owned))
+}
+
+/// [`validate_boot`] without the NA canonicalization: the refusals and the
+/// resolved draw count, for callers that already hold a canonical matrix.
+pub fn check_boot(
+    data: &Matrix,
+    classlabel: &[u8],
+    opts: &PmaxtOptions,
+) -> Result<(ClassLabels, u64)> {
     if opts.workload != Workload::Bootstrap {
         return Err(Error::BadOption {
             param: "workload",
@@ -149,13 +166,7 @@ pub fn validate_boot(
         )));
     }
     let b = resolve_draw_count(&labels, opts)?;
-    let owned = match opts.na {
-        Some(code) => {
-            Matrix::from_vec_with_na(data.rows(), data.cols(), data.as_slice().to_vec(), code)?
-        }
-        None => data.clone(),
-    };
-    Ok((labels, b, owned))
+    Ok((labels, b))
 }
 
 /// Group-mean difference of one gene row under an index draw: drawn columns

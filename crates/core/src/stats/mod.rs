@@ -21,6 +21,13 @@ use crate::labels::{ClassLabels, Design};
 use crate::matrix::Matrix;
 use crate::options::TestMethod;
 
+/// Whether [`prepare_matrix`] rank-transforms the rows for this method.
+/// The ranks themselves do not depend on the method, so every rank-based
+/// run over one matrix can share a single transformed copy.
+pub fn needs_ranks(method: TestMethod, nonpara: bool) -> bool {
+    method == TestMethod::Wilcoxon || nonpara
+}
+
 /// Prepare the data matrix for a run: rank-transform rows when the method is
 /// Wilcoxon or `nonpara = "y"` asks for non-parametric statistics. Returns a
 /// borrowed matrix when no transform is needed (zero copy).
@@ -29,8 +36,7 @@ use crate::options::TestMethod;
 /// this once up front removes all ranking work from the permutation kernel —
 /// the same optimization as the `multtest` C implementation.
 pub fn prepare_matrix<'m>(data: &'m Matrix, method: TestMethod, nonpara: bool) -> Cow<'m, Matrix> {
-    let needs_ranks = method == TestMethod::Wilcoxon || nonpara;
-    if !needs_ranks {
+    if !needs_ranks(method, nonpara) {
         return Cow::Borrowed(data);
     }
     let mut owned = data.clone();

@@ -45,10 +45,25 @@ pub fn write_dataset(path: &Path, data: &Matrix, labels: &[u8]) -> io::Result<()
 /// Read a dataset written by [`write_dataset`].
 pub fn read_dataset(path: &Path) -> io::Result<(Matrix, Vec<u8>)> {
     let file = std::fs::File::open(path)?;
-    let mut lines = io::BufReader::new(file).lines();
+    parse_lines(io::BufReader::new(file).lines())
+}
+
+/// Parse the bytes of a dataset file (the format [`write_dataset`] writes).
+/// Callers that already hold the file's bytes — to hash them, say — parse
+/// without a second read.
+pub fn parse_dataset(bytes: &[u8]) -> io::Result<(Matrix, Vec<u8>)> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    parse_lines(text.lines().map(Ok))
+}
+
+fn parse_lines<S: AsRef<str>>(
+    mut lines: impl Iterator<Item = io::Result<S>>,
+) -> io::Result<(Matrix, Vec<u8>)> {
     let header = lines
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty file"))??;
+    let header = header.as_ref();
     let mut parts = header.split('\t');
     let tag = parts.next().unwrap_or("");
     if tag != "#classlabel" {
@@ -69,6 +84,7 @@ pub fn read_dataset(path: &Path) -> io::Result<(Matrix, Vec<u8>)> {
     let mut rows = 0usize;
     for line in lines {
         let line = line?;
+        let line = line.as_ref();
         if line.is_empty() {
             continue;
         }
@@ -131,6 +147,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn parse_accepts_crlf_and_a_missing_final_newline() {
+        let (m, l) = parse_dataset(b"#classlabel\t0\t1\r\n1.5\tNA\r\n\n2\t3").unwrap();
+        assert_eq!(l, vec![0, 1]);
+        assert_eq!((m.rows(), m.cols()), (2, 2));
+        assert!(m.get(0, 1).is_nan());
+        assert_eq!(m.get(1, 1), 3.0);
+        assert!(parse_dataset(b"#classlabel\t0\n\xff\n").is_err());
     }
 
     #[test]

@@ -54,8 +54,14 @@ impl CacheKey {
     /// canonicalizes before digesting, so differently-encoded but identical
     /// datasets share entries).
     pub fn new(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> CacheKey {
+        CacheKey::with_dataset(digest::dataset_digest(data, classlabel), opts)
+    }
+
+    /// Key for a run over data whose dataset digest is already known (the
+    /// dataset cache computes it once per dataset, not once per job).
+    pub fn with_dataset(dataset: u64, opts: &PmaxtOptions) -> CacheKey {
         CacheKey {
-            dataset: digest::dataset_digest(data, classlabel),
+            dataset,
             stream: digest::stream_digest(opts),
         }
     }

@@ -25,6 +25,11 @@
 //!   arithmetic the SPMD ranks use, peers execute spans via `span_exec`
 //!   requests against their own copy of the dataset, and a dead peer's
 //!   spans are reassigned to survivors from the last merged frontier.
+//! - **Dataset cache** ([`datasets`]): every dataset read — submit, peer
+//!   span and slice execution, journal replay — goes through one per-daemon
+//!   LRU keyed by file content, so each dataset is parsed once per daemon
+//!   and jobs share its matrices. Coordinators send their dataset digest
+//!   with each span, and a peer whose copy digests differently refuses it.
 //! - **Fault injection and recovery** ([`faults`]): a seeded registry
 //!   (`SPRINT_FAULTS=worker_panic:0.01,...`) injects worker panics, span I/O
 //!   errors, cache corruption, torn frames, slow peers and disk faults; the
@@ -46,6 +51,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod datasets;
 pub mod faults;
 pub mod journal;
 pub mod json;
@@ -57,6 +63,7 @@ pub mod storage;
 
 pub use cache::{CacheKey, CacheProbe, ResultCache};
 pub use client::{request_retried, Client, RetryPolicy};
+pub use datasets::{DatasetStats, DATASET_CACHE_BYTES};
 pub use faults::{crash_point, FaultKind, Faults, CRASH_POINTS};
 pub use journal::{Durability, Journal, JournalRecord, RecordKind, Replay};
 pub use manager::{

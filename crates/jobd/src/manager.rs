@@ -57,10 +57,10 @@ use sprint_core::maxt::{CountAccumulator, MaxTContext, MaxTResult};
 use sprint_core::options::{Mode, PmaxtOptions, Precision, Workload};
 use sprint_core::perm::resolve_permutation_count;
 use sprint_core::pmaxt::span_plan;
-use sprint_core::stats::prepare_matrix;
 
 use crate::cache::{CacheKey, CacheProbe, ResultCache};
 use crate::client::RetryPolicy;
+use crate::datasets::{mismatch_message, Dataset, DatasetCache, DatasetError, DatasetStats, View};
 use crate::faults::{crash_point, FaultKind, Faults};
 use crate::journal::{self, Durability, Journal, JournalRecord, RecordKind};
 use crate::json::Json;
@@ -91,6 +91,52 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Labels must name every data column.
+fn check_columns(labels: &ClassLabels, data: &Matrix) -> Result<(), JobError> {
+    if labels.len() != data.cols() {
+        return Err(JobError::Invalid(CoreError::BadLabels(format!(
+            "classlabel length {} does not match {} data columns",
+            labels.len(),
+            data.cols()
+        ))));
+    }
+    Ok(())
+}
+
+/// The cache extends a B-permutation result to B′ > B by reusing its counts
+/// verbatim, which is only sound when counts are bitwise reproducible — so
+/// the f32 accumulation mode is refused at the door (env override included,
+/// so SPRINT_PRECISION can't smuggle it in).
+fn refuse_f32(opts: &PmaxtOptions) -> Result<(), JobError> {
+    if opts.precision.env_override() == Precision::F32 {
+        return Err(JobError::Invalid(CoreError::BadOption {
+            param: "precision",
+            value: "f32 (the job service requires bitwise-reproducible f64)".into(),
+        }));
+    }
+    Ok(())
+}
+
+/// A peer re-resolves the permutation (or draw) count from its own copy of
+/// the dataset and refuses to serve a coordinator that resolved another.
+fn check_drift(b: u64, resolved: u64) -> Result<(), JobError> {
+    if resolved != b {
+        return Err(JobError::Invalid(CoreError::BadOption {
+            param: "b",
+            value: format!(
+                "coordinator resolved B={b} but this daemon resolves B={resolved} \
+                 (dataset or option drift between peers)"
+            ),
+        }));
+    }
+    Ok(())
+}
+
+/// Default [`ManagerConfig::queue_cap`] (and `pmaxt serve --queue`). Queued
+/// jobs share their dataset's matrices through the dataset cache, so a
+/// queued job costs only its count accumulators.
+pub const DEFAULT_QUEUE_CAP: usize = 256;
+
 /// Configuration of a [`JobManager`].
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
@@ -98,7 +144,8 @@ pub struct ManagerConfig {
     /// time); `0` resolves to 2.
     pub workers: usize,
     /// Maximum runnable jobs queued at once; further submissions are
-    /// rejected with [`JobError::QueueFull`].
+    /// rejected with [`JobError::QueueFull`]. Defaults to
+    /// [`DEFAULT_QUEUE_CAP`].
     pub queue_cap: usize,
     /// Permutations per span — the checkpoint / fairness / cancellation
     /// granule.
@@ -130,7 +177,7 @@ impl Default for ManagerConfig {
     fn default() -> Self {
         ManagerConfig {
             workers: 2,
-            queue_cap: 64,
+            queue_cap: DEFAULT_QUEUE_CAP,
             span: 4096,
             job_threads: 0,
             cache_dir: None,
@@ -338,6 +385,18 @@ pub enum JobError {
     Failed(String),
     /// A bounded wait elapsed.
     Timeout(u64),
+    /// The dataset file could not be read or parsed.
+    Unreadable(String),
+    /// A coordinator's span or slice names data this daemon's copy of the
+    /// file does not hold (see [`crate::datasets`]).
+    DatasetMismatch {
+        /// Path as requested.
+        path: String,
+        /// Dataset digest the coordinator sent.
+        expected: u64,
+        /// Dataset digest of this daemon's copy.
+        found: u64,
+    },
     /// The manager is shutting down (or draining).
     ShuttingDown,
     /// An internal invariant broke — a bug, not a caller mistake. The daemon
@@ -355,6 +414,12 @@ impl std::fmt::Display for JobError {
             JobError::Cancelled(id) => write!(f, "job {id} was cancelled"),
             JobError::Failed(msg) => write!(f, "job failed: {msg}"),
             JobError::Timeout(id) => write!(f, "timed out waiting for job {id}"),
+            JobError::Unreadable(msg) => write!(f, "{msg}"),
+            JobError::DatasetMismatch {
+                path,
+                expected,
+                found,
+            } => f.write_str(&mismatch_message(path, *expected, *found)),
             JobError::ShuttingDown => write!(f, "job manager is shutting down"),
             JobError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
@@ -365,12 +430,32 @@ impl std::error::Error for JobError {}
 
 impl JobError {
     /// Wire error code: `usage` for caller mistakes, `busy` for back-pressure,
+    /// `mismatch` for a peer whose dataset differs from the coordinator's,
     /// `runtime` for everything else.
     pub fn code(&self) -> &'static str {
         match self {
             JobError::Invalid(_) | JobError::UnknownJob(_) | JobError::NotFinished(_) => "usage",
             JobError::QueueFull { .. } => "busy",
+            JobError::DatasetMismatch { .. } => "mismatch",
             _ => "runtime",
+        }
+    }
+}
+
+impl From<DatasetError> for JobError {
+    fn from(e: DatasetError) -> JobError {
+        match e {
+            DatasetError::Invalid(e) => JobError::Invalid(e),
+            DatasetError::Mismatch {
+                path,
+                expected,
+                found,
+            } => JobError::DatasetMismatch {
+                path,
+                expected,
+                found,
+            },
+            unreadable => JobError::Unreadable(unreadable.to_string()),
         }
     }
 }
@@ -378,7 +463,8 @@ impl JobError {
 /// Everything a worker needs to process spans of one job. Immutable after
 /// submission.
 struct JobWork {
-    prepared: Matrix,
+    /// The matrix the statistic scores, shared with the dataset cache.
+    prepared: Arc<Matrix>,
     labels: ClassLabels,
     opts: PmaxtOptions,
     b: u64,
@@ -433,6 +519,9 @@ struct Job {
 struct Inner {
     cfg: ManagerConfig,
     cache: Option<ResultCache>,
+    /// Parsed datasets, shared by submissions, workers, peer spans and
+    /// journal replay.
+    datasets: DatasetCache,
     /// Write-ahead job journal; `None` when durability is off or there is
     /// no cache directory to host it.
     journal: Option<Journal>,
@@ -536,6 +625,7 @@ impl JobManager {
         let inner = Arc::new(Inner {
             cfg,
             cache,
+            datasets: DatasetCache::default(),
             journal,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -572,60 +662,85 @@ impl JobManager {
     /// Submit a run. Validates like `mt_maxt`, consults the cache, dedups
     /// against identical live jobs, and enqueues whatever remains to compute.
     pub fn submit(&self, spec: JobSpec) -> Result<SubmitInfo, JobError> {
-        self.submit_inner(spec, false)
-    }
-
-    /// [`JobManager::submit`] body, with recovery provenance threaded
-    /// through: journal replay re-enters here with `recovered = true`.
-    fn submit_inner(&self, spec: JobSpec, recovered: bool) -> Result<SubmitInfo, JobError> {
-        if self.inner.shutdown.load(Ordering::Relaxed)
-            || self.inner.draining.load(Ordering::Relaxed)
-        {
-            return Err(JobError::ShuttingDown);
-        }
         let JobSpec {
             data,
             classlabel,
             opts,
             source_path,
         } = spec;
+        let dataset = Dataset::from_parts(data, classlabel);
+        self.submit_inner(&dataset, opts, source_path, false)
+    }
+
+    /// Submit a run over the dataset file at `path`, read through this
+    /// daemon's dataset cache. The canonical path is recorded on the job so
+    /// peers and journal replay can re-read it.
+    pub fn submit_path(
+        &self,
+        path: &std::path::Path,
+        opts: PmaxtOptions,
+    ) -> Result<SubmitInfo, JobError> {
+        self.submit_path_inner(path, opts, false)
+    }
+
+    /// Counters of this daemon's dataset cache.
+    pub fn dataset_stats(&self) -> DatasetStats {
+        self.inner.datasets.stats()
+    }
+
+    /// Drop every cached dataset; jobs keep the matrices they hold.
+    pub fn clear_datasets(&self) {
+        self.inner.datasets.clear();
+    }
+
+    fn accepting(&self) -> Result<(), JobError> {
+        if self.inner.shutdown.load(Ordering::Relaxed)
+            || self.inner.draining.load(Ordering::Relaxed)
+        {
+            return Err(JobError::ShuttingDown);
+        }
+        Ok(())
+    }
+
+    fn submit_path_inner(
+        &self,
+        path: &std::path::Path,
+        opts: PmaxtOptions,
+        recovered: bool,
+    ) -> Result<SubmitInfo, JobError> {
+        self.accepting()?;
+        let dataset = self.inner.datasets.load(path)?;
+        let source = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
+        self.submit_inner(&dataset, opts, Some(source), recovered)
+    }
+
+    /// Submission body shared by in-process, path and journal-replay
+    /// submissions (`recovered = true` for the last).
+    fn submit_inner(
+        &self,
+        dataset: &Dataset,
+        opts: PmaxtOptions,
+        source_path: Option<std::path::PathBuf>,
+        recovered: bool,
+    ) -> Result<SubmitInfo, JobError> {
+        self.accepting()?;
         // The bootstrap workload runs on its own driver (no permutation
         // counts, no span queue) — route it to its own submission path.
         if opts.workload == Workload::Bootstrap {
-            return self.submit_boot(data, classlabel, opts, source_path, recovered);
+            return self.submit_boot(dataset, opts, source_path, recovered);
         }
-        // Validation and NA canonicalization, exactly as `prepare_run` does —
-        // inlined because the canonical matrix is also the digest input.
-        let labels = ClassLabels::new(classlabel.clone(), opts.test).map_err(JobError::Invalid)?;
-        if labels.len() != data.cols() {
-            return Err(JobError::Invalid(CoreError::BadLabels(format!(
-                "classlabel length {} does not match {} data columns",
-                labels.len(),
-                data.cols()
-            ))));
-        }
-        // The cache extends a B-permutation result to B′ > B by reusing its
-        // counts verbatim, which is only sound when counts are bitwise
-        // reproducible — so the f32 accumulation mode is refused at the door
-        // (env override included, so SPRINT_PRECISION can't smuggle it in).
-        if opts.precision.env_override() == Precision::F32 {
-            return Err(JobError::Invalid(CoreError::BadOption {
-                param: "precision",
-                value: "f32 (the job service requires bitwise-reproducible f64)".into(),
-            }));
-        }
+        // Validation and NA canonicalization, exactly as `prepare_run` does;
+        // the canonical matrix and its digest come from the dataset's view.
+        let classlabel = dataset.classlabel();
+        let labels = ClassLabels::new(classlabel.to_vec(), opts.test).map_err(JobError::Invalid)?;
+        check_columns(&labels, dataset.data())?;
+        refuse_f32(&opts)?;
         // Resolve the run mode once (SPRINT_MODE folded in) so dedup, the
         // runner choice and the cache story all agree for this job's life.
         let mode = opts.mode.env_override();
-        let data = match opts.na {
-            Some(code) => {
-                Matrix::from_vec_with_na(data.rows(), data.cols(), data.as_slice().to_vec(), code)
-                    .map_err(JobError::Invalid)?
-            }
-            None => data,
-        };
+        let view = dataset.view(opts.na).map_err(JobError::Invalid)?;
         let b = resolve_permutation_count(&labels, &opts).map_err(JobError::Invalid)?;
-        let key = CacheKey::new(&data, &classlabel, &opts);
+        let key = CacheKey::with_dataset(view.digest(), &opts);
         let key_hex = key.hex();
 
         // Dedup: an identical live submission is the same job. Cancelled and
@@ -648,7 +763,7 @@ impl JobManager {
             }
         }
 
-        let prepared = prepare_matrix(&data, opts.test, opts.nonpara).into_owned();
+        let prepared = view.prepared(opts.test, opts.nonpara);
         let genes = prepared.rows();
         let mut cursor = 0u64;
         let mut counts = CountAccumulator::new(genes);
@@ -842,25 +957,45 @@ impl JobManager {
         start: u64,
         take: u64,
     ) -> Result<(Vec<u64>, f64), JobError> {
-        if self.inner.shutdown.load(Ordering::Relaxed)
-            || self.inner.draining.load(Ordering::Relaxed)
-        {
-            return Err(JobError::ShuttingDown);
-        }
-        let labels = ClassLabels::new(classlabel, opts.test).map_err(JobError::Invalid)?;
-        if labels.len() != data.cols() {
-            return Err(JobError::Invalid(CoreError::BadLabels(format!(
-                "classlabel length {} does not match {} data columns",
-                labels.len(),
-                data.cols()
-            ))));
-        }
-        if opts.precision.env_override() == Precision::F32 {
-            return Err(JobError::Invalid(CoreError::BadOption {
-                param: "precision",
-                value: "f32 (the job service requires bitwise-reproducible f64)".into(),
-            }));
-        }
+        self.accepting()?;
+        let dataset = Dataset::from_parts(data, classlabel);
+        let view = dataset.view(opts.na).map_err(JobError::Invalid)?;
+        self.span_on(&dataset, &view, &opts, b, start, take)
+    }
+
+    /// [`JobManager::exec_span`] over the dataset file at `path` on this
+    /// daemon's filesystem, read through the dataset cache. With
+    /// `dataset = Some(digest)` — the coordinator's [`CacheKey`] dataset
+    /// digest — a cached copy with that digest is used without any file
+    /// I/O, and a file whose data digests differently is refused with
+    /// [`JobError::DatasetMismatch`].
+    pub fn exec_span_at(
+        &self,
+        path: &std::path::Path,
+        dataset: Option<u64>,
+        opts: PmaxtOptions,
+        b: u64,
+        start: u64,
+        take: u64,
+    ) -> Result<(Vec<u64>, f64), JobError> {
+        self.accepting()?;
+        let (ds, view) = self.inner.datasets.resolve(path, opts.na, dataset)?;
+        self.span_on(&ds, &view, &opts, b, start, take)
+    }
+
+    fn span_on(
+        &self,
+        dataset: &Dataset,
+        view: &View,
+        opts: &PmaxtOptions,
+        b: u64,
+        start: u64,
+        take: u64,
+    ) -> Result<(Vec<u64>, f64), JobError> {
+        let labels = ClassLabels::new(dataset.classlabel().to_vec(), opts.test)
+            .map_err(JobError::Invalid)?;
+        check_columns(&labels, dataset.data())?;
+        refuse_f32(opts)?;
         // A span is a fixed permutation range over *all* genes; the adaptive
         // runner's shrinking live set has no place in the span protocol.
         if opts.mode.env_override() == Mode::Adaptive {
@@ -869,30 +1004,15 @@ impl JobManager {
                 value: "adaptive (span execution serves bitwise-exact sharded runs only)".into(),
             }));
         }
-        let data = match opts.na {
-            Some(code) => {
-                Matrix::from_vec_with_na(data.rows(), data.cols(), data.as_slice().to_vec(), code)
-                    .map_err(JobError::Invalid)?
-            }
-            None => data,
-        };
-        let resolved = resolve_permutation_count(&labels, &opts).map_err(JobError::Invalid)?;
-        if resolved != b {
-            return Err(JobError::Invalid(CoreError::BadOption {
-                param: "b",
-                value: format!(
-                    "coordinator resolved B={b} but this daemon resolves B={resolved} \
-                     (dataset or option drift between peers)"
-                ),
-            }));
-        }
+        let resolved = resolve_permutation_count(&labels, opts).map_err(JobError::Invalid)?;
+        check_drift(b, resolved)?;
         if start.checked_add(take).is_none_or(|end| end > b) {
             return Err(JobError::Invalid(CoreError::BadOption {
                 param: "span",
                 value: format!("[{start}, {start}+{take}) exceeds B={b}"),
             }));
         }
-        let prepared = prepare_matrix(&data, opts.test, opts.nonpara).into_owned();
+        let prepared = view.prepared(opts.test, opts.nonpara);
         let threads = if opts.threads == 0 {
             self.inner.cfg.job_threads
         } else {
@@ -912,7 +1032,7 @@ impl JobManager {
             progress: None,
         };
         let cpu0 = shard::thread_cpu_secs();
-        let run = accumulate_chunk_hooked(&ctx, &labels, &opts, b, start, take, cfg, hooks)
+        let run = accumulate_chunk_hooked(&ctx, &labels, opts, b, start, take, cfg, hooks)
             .map_err(JobError::Invalid)?;
         let secs = kernel_secs(cpu0, &run);
         Ok((run.counts.to_flat(), secs))
@@ -927,24 +1047,20 @@ impl JobManager {
     /// dataset path are available.
     fn submit_boot(
         &self,
-        data: Matrix,
-        classlabel: Vec<u8>,
+        dataset: &Dataset,
         opts: PmaxtOptions,
         source_path: Option<std::path::PathBuf>,
         recovered: bool,
     ) -> Result<SubmitInfo, JobError> {
-        let (labels, b, data) =
-            boot::validate_boot(&data, &classlabel, &opts).map_err(JobError::Invalid)?;
+        let (labels, b) = boot::check_boot(dataset.data(), dataset.classlabel(), &opts)
+            .map_err(JobError::Invalid)?;
         // Same env-override hardening as the permutation path: SPRINT_PRECISION
         // must not smuggle f32 accumulation past the option check.
-        if opts.precision.env_override() == Precision::F32 {
-            return Err(JobError::Invalid(CoreError::BadOption {
-                param: "precision",
-                value: "f32 (the job service requires bitwise-reproducible f64)".into(),
-            }));
-        }
+        refuse_f32(&opts)?;
+        let view = dataset.view(opts.na).map_err(JobError::Invalid)?;
+        let data = view.canonical();
         let genes = data.rows();
-        let key = CacheKey::new(&data, &classlabel, &opts);
+        let key = CacheKey::with_dataset(view.digest(), &opts);
         let key_hex = key.hex();
 
         // Dedup against an identical live bootstrap submission. The options
@@ -979,7 +1095,7 @@ impl JobManager {
                             key,
                             key_hex.clone(),
                             JobWork {
-                                prepared: data,
+                                prepared: Arc::clone(data),
                                 labels,
                                 opts,
                                 b,
@@ -1033,7 +1149,7 @@ impl JobManager {
         let sharded = !self.inner.cfg.peers.is_empty() && source_path.is_some();
         let shard = sharded.then(|| Arc::new(ShardStats::default()));
         let work = JobWork {
-            prepared: data,
+            prepared: Arc::clone(data),
             labels,
             opts,
             b,
@@ -1088,42 +1204,29 @@ impl JobManager {
     }
 
     /// Execute one gene slice `[row_start, row_start + row_take)` of a
-    /// sharded bootstrap run on behalf of a peer coordinator.
+    /// sharded bootstrap run on behalf of a peer coordinator, over the
+    /// dataset file at `path` read through the dataset cache with the same
+    /// digest contract as [`JobManager::exec_span_at`].
     ///
     /// Validation mirrors [`JobManager::submit`]'s bootstrap path; the
     /// daemon re-resolves the draw count from its own copy of the dataset
     /// and refuses on drift, exactly like [`JobManager::exec_span`].
-    pub fn exec_boot(
+    pub fn exec_boot_at(
         &self,
-        data: Matrix,
-        classlabel: Vec<u8>,
-        opts: PmaxtOptions,
+        path: &std::path::Path,
+        dataset: Option<u64>,
+        mut opts: PmaxtOptions,
         b: u64,
         row_start: u64,
         row_take: u64,
     ) -> Result<(BootstrapResult, f64), JobError> {
-        if self.inner.shutdown.load(Ordering::Relaxed)
-            || self.inner.draining.load(Ordering::Relaxed)
-        {
-            return Err(JobError::ShuttingDown);
-        }
-        let (_labels, resolved, data) =
-            boot::validate_boot(&data, &classlabel, &opts).map_err(JobError::Invalid)?;
-        if opts.precision.env_override() == Precision::F32 {
-            return Err(JobError::Invalid(CoreError::BadOption {
-                param: "precision",
-                value: "f32 (the job service requires bitwise-reproducible f64)".into(),
-            }));
-        }
-        if resolved != b {
-            return Err(JobError::Invalid(CoreError::BadOption {
-                param: "b",
-                value: format!(
-                    "coordinator resolved B={b} but this daemon resolves B={resolved} \
-                     (dataset or option drift between peers)"
-                ),
-            }));
-        }
+        self.accepting()?;
+        let (dataset, view) = self.inner.datasets.resolve(path, opts.na, dataset)?;
+        let data = view.canonical();
+        let (_labels, resolved) =
+            boot::check_boot(data, dataset.classlabel(), &opts).map_err(JobError::Invalid)?;
+        refuse_f32(&opts)?;
+        check_drift(b, resolved)?;
         let rows = data.rows() as u64;
         if row_start.checked_add(row_take).is_none_or(|end| end > rows) {
             return Err(JobError::Invalid(CoreError::BadOption {
@@ -1131,15 +1234,14 @@ impl JobManager {
                 value: format!("[{row_start}, {row_start}+{row_take}) exceeds {rows} gene rows"),
             }));
         }
-        let mut opts = opts;
         if opts.threads == 0 {
             opts.threads = self.inner.cfg.job_threads;
         }
         let cpu0 = shard::thread_cpu_secs();
         let t0 = Instant::now();
         let result = boot::boot_run_slice(
-            &data,
-            &classlabel,
+            data,
+            dataset.classlabel(),
             &opts,
             row_start as usize..(row_start + row_take) as usize,
         )
@@ -1586,20 +1688,16 @@ impl JobManager {
                 continue;
             };
             let opts = rec.opts.clone().unwrap_or_default();
-            let spec = match microarray::io::read_dataset(std::path::Path::new(source)) {
-                Ok((data, classlabel)) => JobSpec {
-                    data,
-                    classlabel,
-                    opts,
-                    source_path: Some(std::path::PathBuf::from(source)),
-                },
+            let path = std::path::Path::new(source);
+            let dataset = match self.inner.datasets.load(path) {
+                Ok(dataset) => dataset,
                 Err(e) => {
-                    eprintln!("jobd: recovery: cannot re-read {source}: {e}");
+                    eprintln!("jobd: recovery: {e}");
                     report.unrecoverable += 1;
                     continue;
                 }
             };
-            match self.submit_inner(spec, true) {
+            match self.submit_inner(&dataset, opts, Some(path.to_path_buf()), true) {
                 Ok(info) if info.state == JobState::Finished => report.from_cache += 1,
                 Ok(_) => report.requeued += 1,
                 Err(e) => {
@@ -2278,8 +2376,10 @@ fn boot_sharded(inner: &Arc<Inner>, job: &Arc<Job>) -> Result<BootstrapResult, C
                         stats: stats_ref,
                         faults,
                     };
-                    let req =
-                        protocol::boot_exec_request(&path, &work.opts, work.b, row_start, row_take);
+                    let req = protocol::with_dataset_digest(
+                        protocol::boot_exec_request(&path, &work.opts, work.b, row_start, row_take),
+                        job.key.dataset,
+                    );
                     match link.exec(&req) {
                         Ok(resp) => match protocol::boot_from_json(&resp) {
                             Ok(r)
@@ -2540,7 +2640,9 @@ fn run_sharded(inner: &Arc<Inner>, job: &Arc<Job>) {
     let (tx, rx) = mpsc::channel::<SpanOutcome>();
     let mut failure: Option<String> = None;
 
-    std::thread::scope(|scope| {
+    // The local executor's scorer context is handed back for finalization,
+    // so a sharded job prepares the scorer once on this daemon.
+    let ctx = std::thread::scope(|scope| {
         let orphans = &orphans;
         let done = &done;
         let inner_ref: &Inner = inner;
@@ -2585,7 +2687,10 @@ fn run_sharded(inner: &Arc<Inner>, job: &Arc<Job>) {
                         die(&mut own, (s, t), "injected peer_drop");
                         return;
                     }
-                    let req = protocol::span_exec_request(&path, &work.opts, work.b, s, t);
+                    let req = protocol::with_dataset_digest(
+                        protocol::span_exec_request(&path, &work.opts, work.b, s, t),
+                        job_ref.key.dataset,
+                    );
                     match link.exec(&req) {
                         Ok(resp) => match protocol::span_counts_from_json(&resp) {
                             Ok((rs, rt, flat, secs))
@@ -2630,7 +2735,7 @@ fn run_sharded(inner: &Arc<Inner>, job: &Arc<Job>) {
         // Local executor: participant 0, plus whatever the dead peers leave
         // behind. Runs on this scope so a local engine panic fails the job,
         // not the daemon.
-        {
+        let local = {
             let mut own = std::mem::take(&mut queues[0]);
             let tx = tx.clone();
             let stats = Arc::clone(&stats);
@@ -2679,22 +2784,23 @@ fn run_sharded(inner: &Arc<Inner>, job: &Arc<Job>) {
                                 counts: run.counts,
                             });
                         }
-                        Ok(Err(CoreError::Cancelled)) => return,
+                        Ok(Err(CoreError::Cancelled)) => break,
                         Ok(Err(e)) => {
                             let _ = tx.send(SpanOutcome::JobFail(e.to_string()));
-                            return;
+                            break;
                         }
                         Err(payload) => {
                             let _ = tx.send(SpanOutcome::JobFail(format!(
                                 "worker panicked: {}",
                                 panic_message(payload.as_ref())
                             )));
-                            return;
+                            break;
                         }
                     }
                 }
-            });
-        }
+                ctx
+            })
+        };
         drop(tx);
 
         // Merger: this thread. Spans may complete in any order; they are
@@ -2764,6 +2870,9 @@ fn run_sharded(inner: &Arc<Inner>, job: &Arc<Job>) {
                 }
             }
         }
+        local
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     });
 
     if let Some(msg) = failure {
@@ -2772,7 +2881,7 @@ fn run_sharded(inner: &Arc<Inner>, job: &Arc<Job>) {
     }
     let mut prog = plock(&job.prog);
     if prog.cursor >= work.b {
-        prog.result = Some(make_ctx().finalize(&prog.counts));
+        prog.result = Some(ctx.finalize(&prog.counts));
         prog.state = JobState::Finished;
         drop(prog);
         emit_event(job);

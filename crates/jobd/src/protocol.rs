@@ -193,6 +193,32 @@ pub fn boot_exec_request(
     Json::Obj(pairs)
 }
 
+/// Attach a coordinator's dataset digest — its [`crate::CacheKey`]
+/// `dataset` field, as 16 hex digits — to a `span_exec` or `boot_exec`
+/// request. A peer holding data with that digest skips the file read; a
+/// peer whose file digests differently refuses the request.
+pub fn with_dataset_digest(req: Json, dataset: u64) -> Json {
+    match req {
+        Json::Obj(mut pairs) => {
+            pairs.push(("dataset".to_string(), Json::str(format!("{dataset:016x}"))));
+            Json::Obj(pairs)
+        }
+        other => other,
+    }
+}
+
+/// The optional `dataset` digest of a `span_exec`/`boot_exec` request.
+pub fn dataset_digest_from_request(req: &Json) -> Result<Option<u64>, String> {
+    match req.get("dataset") {
+        None => Ok(None),
+        Some(v) => v
+            .as_str()
+            .and_then(|s| u64::from_str_radix(s, 16).ok())
+            .map(Some)
+            .ok_or_else(|| "dataset must be a hex digest string".to_string()),
+    }
+}
+
 /// f64 slice → array of IEEE-754 bit patterns as decimal strings. Interval
 /// endpoints must survive the wire bit for bit (the sharded-equals-serial
 /// contract is bitwise), and JSON's decimal float round-trip cannot promise
@@ -695,6 +721,19 @@ mod tests {
         assert_eq!(wire.get("row_take").unwrap().as_u64(), Some(50));
         let decoded = opts_from_request(&wire).unwrap();
         assert_eq!(decoded, opts);
+    }
+
+    #[test]
+    fn dataset_digest_rides_span_requests_and_bad_values_are_refused() {
+        let req = span_exec_request("/d.tsv", &PmaxtOptions::default(), 100, 0, 50);
+        assert_eq!(dataset_digest_from_request(&req), Ok(None));
+        let digest = 0x00ab_cdef_0123_4567;
+        let wire = Json::parse(&with_dataset_digest(req, digest).to_json()).unwrap();
+        assert_eq!(dataset_digest_from_request(&wire), Ok(Some(digest)));
+        for bad in [Json::Num(5.0), Json::str("not-hex")] {
+            let req = Json::Obj(vec![("dataset".to_string(), bad)]);
+            assert!(dataset_digest_from_request(&req).is_err());
+        }
     }
 
     #[test]

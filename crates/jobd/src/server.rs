@@ -24,17 +24,16 @@
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use microarray::io::read_dataset;
 use sprint_core::options::PmaxtOptions;
 
 use crate::faults::{FaultKind, Faults};
 use crate::json::Json;
-use crate::manager::{JobManager, JobSpec};
+use crate::manager::JobManager;
 use crate::protocol;
 
 /// Upper bound on one request line. A well-formed request is well under 1 KiB
@@ -466,32 +465,27 @@ fn handle_submit(request: &Json, manager: &JobManager) -> Json {
         Ok(o) => o,
         Err(e) => return protocol::err_response(&e, "usage"),
     };
-    let (data, classlabel) = match read_dataset(std::path::Path::new(path)) {
-        Ok(pair) => pair,
-        Err(e) => {
-            return protocol::err_response(&format!("cannot read dataset {path:?}: {e}"), "runtime")
-        }
-    };
-    // Record the canonical dataset path: if this daemon has peers, the
-    // coordinator sends it in `span_exec` requests so each peer re-reads
-    // its own copy instead of shipping the matrix inline.
-    let source_path = std::fs::canonicalize(path).unwrap_or_else(|_| PathBuf::from(path));
-    match manager.submit(JobSpec {
-        data,
-        classlabel,
-        opts,
-        source_path: Some(source_path),
-    }) {
+    // The manager records the canonical dataset path: if this daemon has
+    // peers, the coordinator sends it in `span_exec` requests so each peer
+    // reads its own copy instead of shipping the matrix inline.
+    match manager.submit_path(Path::new(path), opts) {
         Ok(info) => protocol::submit_to_json(&info),
         Err(e) => protocol::err_from(&e),
     }
 }
 
-/// Execute one span of a sharded job for a peer coordinator: re-read the
-/// dataset from this daemon's own filesystem, recompute the span's exact
-/// exceedance counts with the same skip-ahead stream the coordinator uses,
-/// and return them flat. Stateless by design — no job is registered, so a
-/// coordinator retry (or a second coordinator) is harmless.
+/// The optional coordinator dataset digest of a peer request, or a usage
+/// error response.
+fn request_digest(request: &Json) -> Result<Option<u64>, Json> {
+    protocol::dataset_digest_from_request(request).map_err(|e| protocol::err_response(&e, "usage"))
+}
+
+/// Execute one span of a sharded job for a peer coordinator: take the
+/// dataset from this daemon's dataset cache (by the coordinator's digest
+/// when it sent one, else by the file's content), recompute the span's
+/// exact exceedance counts with the same skip-ahead stream the coordinator
+/// uses, and return them flat. No job is registered, so a coordinator retry
+/// (or a second coordinator) is harmless.
 fn handle_span_exec(request: &Json, manager: &JobManager) -> Json {
     let path = match request.get("path").and_then(Json::as_str) {
         Some(p) => p,
@@ -514,22 +508,20 @@ fn handle_span_exec(request: &Json, manager: &JobManager) -> Json {
             )
         }
     };
-    let (data, classlabel) = match read_dataset(std::path::Path::new(path)) {
-        Ok(pair) => pair,
-        Err(e) => {
-            return protocol::err_response(&format!("cannot read dataset {path:?}: {e}"), "runtime")
-        }
+    let digest = match request_digest(request) {
+        Ok(d) => d,
+        Err(resp) => return resp,
     };
-    match manager.exec_span(data, classlabel, opts, b, start, take) {
+    match manager.exec_span_at(Path::new(path), digest, opts, b, start, take) {
         Ok((flat, kernel_secs)) => protocol::span_counts_to_json(start, take, &flat, kernel_secs),
         Err(e) => protocol::err_from(&e),
     }
 }
 
 /// Execute one gene slice of a sharded bootstrap run for a peer coordinator:
-/// re-read the dataset from this daemon's own filesystem, recompute the
-/// slice's interval estimates over the same deterministic draw stream, and
-/// return them as bit-pattern arrays. Stateless, like `span_exec`.
+/// take the dataset from the dataset cache exactly as `span_exec` does,
+/// recompute the slice's interval estimates over the same deterministic
+/// draw stream, and return them as bit-pattern arrays.
 fn handle_boot_exec(request: &Json, manager: &JobManager) -> Json {
     let path = match request.get("path").and_then(Json::as_str) {
         Some(p) => p,
@@ -552,13 +544,11 @@ fn handle_boot_exec(request: &Json, manager: &JobManager) -> Json {
             )
         }
     };
-    let (data, classlabel) = match read_dataset(std::path::Path::new(path)) {
-        Ok(pair) => pair,
-        Err(e) => {
-            return protocol::err_response(&format!("cannot read dataset {path:?}: {e}"), "runtime")
-        }
+    let digest = match request_digest(request) {
+        Ok(d) => d,
+        Err(resp) => return resp,
     };
-    match manager.exec_boot(data, classlabel, opts, b, row_start, row_take) {
+    match manager.exec_boot_at(Path::new(path), digest, opts, b, row_start, row_take) {
         Ok((result, kernel_secs)) => protocol::boot_slice_to_json(&result, kernel_secs),
         Err(e) => protocol::err_from(&e),
     }

@@ -15,7 +15,7 @@ use sprint_core::maxt::serial::mt_maxt;
 use sprint_core::options::{PmaxtOptions, TestMethod, Workload};
 use sprint_jobd::client::{expect_ok, Client};
 use sprint_jobd::json::Json;
-use sprint_jobd::{protocol, JobManager, ManagerConfig, Server};
+use sprint_jobd::{protocol, JobError, JobManager, JobSpec, ManagerConfig, Server};
 
 fn ok(resp: Json) -> Json {
     expect_ok(resp).expect("server error response")
@@ -365,6 +365,89 @@ fn sharded_run_checkpoints_and_caches() {
     assert_eq!(first, second);
 
     shutdown(&coord);
+    shutdown(&peer);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A peer whose copy of the dataset differs from the coordinator's must
+/// refuse `span_exec` and `boot_exec` with the typed `mismatch` error instead
+/// of computing over its own data, must not cache the data it refused, and a
+/// coordinator whose peer refuses fails the job.
+#[test]
+fn peer_refuses_spans_over_different_data() {
+    let dir = std::env::temp_dir().join(format!("jobd-cluster-mismatch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let peer = spawn_peer(16);
+
+    let ds = dataset_for(TestMethod::T, 30, 4242);
+    let dataset = dir.join("data.tsv");
+    write_dataset(&dataset, &ds.matrix, &ds.labels).unwrap();
+    let path = dataset.to_str().unwrap();
+    let right = sprint_core::digest::dataset_digest(&ds.matrix, &ds.labels);
+    let wrong = right ^ 0x5a5a;
+
+    let opts = PmaxtOptions::default().permutations(200).seed(5);
+    let boot = PmaxtOptions::default()
+        .workload(Workload::Bootstrap)
+        .permutations(50)
+        .seed(5);
+    let mut client = Client::connect(&peer).unwrap();
+    for req in [
+        protocol::span_exec_request(path, &opts, 200, 0, 50),
+        protocol::boot_exec_request(path, &boot, 50, 0, 10),
+    ] {
+        let resp = client
+            .request(&protocol::with_dataset_digest(req, wrong))
+            .unwrap();
+        let (msg, code) = expect_ok(resp).expect_err("a wrong digest must be refused");
+        assert_eq!(code, "mismatch", "{msg}");
+        assert!(msg.contains(&format!("{wrong:016x}")), "{msg}");
+        assert!(msg.contains(&format!("{right:016x}")), "{msg}");
+    }
+
+    // Nothing was cached for the refused requests: with the file gone, even
+    // the right digest finds no entry and the peer has nothing to read.
+    std::fs::remove_file(&dataset).unwrap();
+    let resp = client
+        .request(&protocol::with_dataset_digest(
+            protocol::span_exec_request(path, &opts, 200, 0, 50),
+            right,
+        ))
+        .unwrap();
+    let (msg, code) = expect_ok(resp).expect_err("no cached entry may answer");
+    assert_eq!(code, "runtime", "{msg}");
+    assert!(msg.contains("cannot read dataset"), "{msg}");
+
+    // A coordinator whose data differs from the file its peer reads (same
+    // shape and labels, other values) fails the job instead of merging
+    // counts over two datasets.
+    write_dataset(&dataset, &ds.matrix, &ds.labels).unwrap();
+    let other = dataset_for(TestMethod::T, 30, 4243);
+    let coordinator = JobManager::new(ManagerConfig {
+        workers: 1,
+        span: 16,
+        peers: vec![peer.clone()],
+        ..ManagerConfig::default()
+    })
+    .unwrap();
+    let info = coordinator
+        .submit(JobSpec {
+            data: other.matrix.clone(),
+            classlabel: ds.labels.clone(),
+            opts: opts.clone(),
+            source_path: Some(dataset.clone()),
+        })
+        .unwrap();
+    match coordinator.wait_result(info.id, Some(Duration::from_secs(60))) {
+        Err(JobError::Failed(msg)) => {
+            assert!(
+                msg.contains("rejected") && msg.contains("mismatch"),
+                "{msg}"
+            )
+        }
+        other => panic!("expected the job to fail on the peer's refusal, got {other:?}"),
+    }
+
     shutdown(&peer);
     std::fs::remove_dir_all(&dir).ok();
 }

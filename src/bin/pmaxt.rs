@@ -49,6 +49,7 @@ use sprint_core::pmaxt::{chunk_for_rank, pmaxt};
 use sprint_core::side::Side;
 use sprint_jobd::client::{expect_ok, request_retried, Client, RetryPolicy};
 use sprint_jobd::json::Json;
+use sprint_jobd::manager::DEFAULT_QUEUE_CAP;
 use sprint_jobd::{protocol, Durability, Faults, JobManager, ManagerConfig, Server, ServerConfig};
 
 /// CLI failure, carrying the process exit code.
@@ -318,7 +319,7 @@ fn parse_serve(args: &[String]) -> Result<ServeConfig, String> {
         addr: String::new(),
         workers: 2,
         span: 4096,
-        queue: 64,
+        queue: DEFAULT_QUEUE_CAP,
         job_threads: 0,
         cache: Some(PathBuf::from(".pmaxt-cache")),
         peers: Vec::new(),
