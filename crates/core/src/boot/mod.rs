@@ -39,7 +39,7 @@ pub const CI_LEVEL: f64 = 0.95;
 
 /// Per-gene bootstrap estimates for a gene slice (`offset` genes are skipped
 /// before the first reported row; a full run has `offset = 0`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BootstrapResult {
     /// First gene row this result covers.
     pub offset: usize,

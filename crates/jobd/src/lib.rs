@@ -4,10 +4,12 @@
 //! blocking call. This crate wraps the same deterministic engine in a
 //! long-lived service, which changes what repeated use costs:
 //!
-//! - **Job orchestration** ([`manager`]): a bounded queue and worker pool
-//!   drive the batched engine span by span — round-robin across jobs for
-//!   fairness, per-job thread budgets, cooperative cancellation at batch
-//!   granularity, and progress events with a critical-path ETA.
+//! - **Job orchestration** ([`manager`]): one pipeline for every workload —
+//!   admission, a claim/settle lifecycle, and a roster executor that merges
+//!   permutation spans or bootstrap gene bands in frontier order. A bounded
+//!   queue and worker pool drive local exact jobs span by span — round-robin
+//!   across jobs for fairness, per-job thread budgets, cooperative
+//!   cancellation at batch granularity, and progress events with an ETA.
 //! - **Content-addressed result cache** ([`cache`]): entries are checkpoint
 //!   files keyed by (dataset digest, permutation-stream digest). A repeated
 //!   request finalizes from stored counts without computing; a crashed or
@@ -20,11 +22,12 @@
 //!   line-delimited JSON over a Unix-domain socket or TCP, exposed by the
 //!   `pmaxt serve` / `submit` / `status` / `result` / `cancel` subcommands.
 //! - **Cross-daemon sharding** ([`shard`], [`manager`]): a daemon started
-//!   with `--peer` addresses coordinates one job across the roster — the
+//!   with `--peer` addresses runs one job on the whole roster — the
 //!   remaining permutation range is split with the same `span_plan`
-//!   arithmetic the SPMD ranks use, peers execute spans via `span_exec`
-//!   requests against their own copy of the dataset, and a dead peer's
-//!   spans are reassigned to survivors from the last merged frontier.
+//!   arithmetic the SPMD ranks use (a bootstrap run splits its gene rows
+//!   into bands), peers execute slices via `span_exec`/`boot_exec` requests
+//!   against their own copy of the dataset, and a dead peer's slices are
+//!   reassigned to survivors from the last merged frontier.
 //! - **Dataset cache** ([`datasets`]): every dataset read — submit, peer
 //!   span and slice execution, journal replay — goes through one per-daemon
 //!   LRU keyed by file content, so each dataset is parsed once per daemon

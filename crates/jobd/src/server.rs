@@ -474,10 +474,33 @@ fn handle_submit(request: &Json, manager: &JobManager) -> Json {
     }
 }
 
-/// The optional coordinator dataset digest of a peer request, or a usage
+/// A peer slice request (`span_exec` or `boot_exec`): the dataset path, the
+/// options, the coordinator's resolved B, the slice bounds under the field
+/// names `bounds`, and the optional coordinator dataset digest — or a usage
 /// error response.
-fn request_digest(request: &Json) -> Result<Option<u64>, Json> {
-    protocol::dataset_digest_from_request(request).map_err(|e| protocol::err_response(&e, "usage"))
+#[allow(clippy::type_complexity)]
+fn slice_request<'a>(
+    request: &'a Json,
+    cmd: &str,
+    bounds: [&str; 2],
+) -> Result<(&'a Path, PmaxtOptions, u64, u64, u64, Option<u64>), Json> {
+    let usage = |msg: &str| protocol::err_response(msg, "usage");
+    let path = request
+        .get("path")
+        .and_then(Json::as_str)
+        .ok_or_else(|| usage(&format!("{cmd} requires a path field")))?;
+    let opts = protocol::opts_from_request(request).map_err(|e| usage(&e))?;
+    let field = |name: &str| request.get(name).and_then(Json::as_u64);
+    let (Some(b), Some(start), Some(take)) =
+        (field("b_resolved"), field(bounds[0]), field(bounds[1]))
+    else {
+        let [first, second] = bounds;
+        return Err(usage(&format!(
+            "{cmd} requires b_resolved, {first} and {second} fields"
+        )));
+    };
+    let digest = protocol::dataset_digest_from_request(request).map_err(|e| usage(&e))?;
+    Ok((Path::new(path), opts, b, start, take, digest))
 }
 
 /// Execute one span of a sharded job for a peer coordinator: take the
@@ -487,32 +510,12 @@ fn request_digest(request: &Json) -> Result<Option<u64>, Json> {
 /// uses, and return them flat. No job is registered, so a coordinator retry
 /// (or a second coordinator) is harmless.
 fn handle_span_exec(request: &Json, manager: &JobManager) -> Json {
-    let path = match request.get("path").and_then(Json::as_str) {
-        Some(p) => p,
-        None => return protocol::err_response("span_exec requires a path field", "usage"),
-    };
-    let opts: PmaxtOptions = match protocol::opts_from_request(request) {
-        Ok(o) => o,
-        Err(e) => return protocol::err_response(&e, "usage"),
-    };
-    let (b, start, take) = match (
-        request.get("b_resolved").and_then(Json::as_u64),
-        request.get("start").and_then(Json::as_u64),
-        request.get("take").and_then(Json::as_u64),
-    ) {
-        (Some(b), Some(start), Some(take)) => (b, start, take),
-        _ => {
-            return protocol::err_response(
-                "span_exec requires b_resolved, start and take fields",
-                "usage",
-            )
-        }
-    };
-    let digest = match request_digest(request) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    match manager.exec_span_at(Path::new(path), digest, opts, b, start, take) {
+    let (path, opts, b, start, take, digest) =
+        match slice_request(request, "span_exec", ["start", "take"]) {
+            Ok(parsed) => parsed,
+            Err(resp) => return resp,
+        };
+    match manager.exec_span_at(path, digest, opts, b, start, take) {
         Ok((flat, kernel_secs)) => protocol::span_counts_to_json(start, take, &flat, kernel_secs),
         Err(e) => protocol::err_from(&e),
     }
@@ -523,32 +526,12 @@ fn handle_span_exec(request: &Json, manager: &JobManager) -> Json {
 /// recompute the slice's interval estimates over the same deterministic
 /// draw stream, and return them as bit-pattern arrays.
 fn handle_boot_exec(request: &Json, manager: &JobManager) -> Json {
-    let path = match request.get("path").and_then(Json::as_str) {
-        Some(p) => p,
-        None => return protocol::err_response("boot_exec requires a path field", "usage"),
-    };
-    let opts: PmaxtOptions = match protocol::opts_from_request(request) {
-        Ok(o) => o,
-        Err(e) => return protocol::err_response(&e, "usage"),
-    };
-    let (b, row_start, row_take) = match (
-        request.get("b_resolved").and_then(Json::as_u64),
-        request.get("row_start").and_then(Json::as_u64),
-        request.get("row_take").and_then(Json::as_u64),
-    ) {
-        (Some(b), Some(s), Some(t)) => (b, s, t),
-        _ => {
-            return protocol::err_response(
-                "boot_exec requires b_resolved, row_start and row_take fields",
-                "usage",
-            )
-        }
-    };
-    let digest = match request_digest(request) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    match manager.exec_boot_at(Path::new(path), digest, opts, b, row_start, row_take) {
+    let (path, opts, b, row_start, row_take, digest) =
+        match slice_request(request, "boot_exec", ["row_start", "row_take"]) {
+            Ok(parsed) => parsed,
+            Err(resp) => return resp,
+        };
+    match manager.exec_boot_at(path, digest, opts, b, row_start, row_take) {
         Ok((result, kernel_secs)) => protocol::boot_slice_to_json(&result, kernel_secs),
         Err(e) => protocol::err_from(&e),
     }

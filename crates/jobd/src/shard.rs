@@ -1,5 +1,5 @@
-//! Cross-daemon permutation sharding: peer links, span queues and comm
-//! statistics for the coordinator in [`crate::manager`].
+//! Cross-daemon sharding: peer links, the orphan span queue and comm
+//! statistics for the roster executor in [`crate::manager`].
 //!
 //! A daemon started with `pmaxt serve --peer <addr>` turns a submitted job
 //! into a *sharded* run: the permutation range `0..B` is split across the
@@ -10,7 +10,8 @@
 //! protocol. Exceedance counts are exact `u64`s and addition is commutative,
 //! so merging spans in *any* completion order reproduces the serial result
 //! bit for bit — the coordinator only has to guarantee that every span is
-//! counted exactly once.
+//! counted exactly once. A bootstrap run shards the same way with one gene
+//! band per participant (`boot_exec` requests), merged in row order.
 //!
 //! ## Failure model
 //!
@@ -130,6 +131,17 @@ impl ShardStats {
 
     fn add(&self, counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count one computed slice and its kernel seconds, as local or remote.
+    pub(crate) fn record_slice(&self, remote: bool, kernel_secs: f64) {
+        let (slices, micros) = if remote {
+            (&self.spans_remote, &self.kernel_remote_micros)
+        } else {
+            (&self.spans_local, &self.kernel_local_micros)
+        };
+        self.add(slices, 1);
+        self.add(micros, (kernel_secs.max(0.0) * 1e6) as u64);
     }
 }
 
@@ -300,6 +312,18 @@ pub fn thread_cpu_secs() -> Option<f64> {
     #[cfg(not(target_os = "linux"))]
     {
         None
+    }
+}
+
+/// Seconds of kernel work in one slice, for the telemetry counters: the
+/// calling thread's CPU time since `cpu0` when the slice ran `inline` (one
+/// engine worker — immune to CPU oversubscription across roster daemons),
+/// `fallback` otherwise: the engine's per-worker busy sum, or wall time
+/// where the engine reports none.
+pub(crate) fn kernel_secs(cpu0: Option<f64>, inline: bool, fallback: impl FnOnce() -> f64) -> f64 {
+    match (inline, cpu0, thread_cpu_secs()) {
+        (true, Some(a), Some(z)) => (z - a).max(0.0),
+        _ => fallback(),
     }
 }
 

@@ -10,9 +10,10 @@
 use std::time::Duration;
 
 use sprint_core::adaptive::{adaptive_maxt, AdaptiveConfig};
+use sprint_core::boot::{boot_run, BootstrapResult};
 use sprint_core::matrix::Matrix;
 use sprint_core::maxt::serial::mt_maxt;
-use sprint_core::options::{Mode, PmaxtOptions, TestMethod};
+use sprint_core::options::{Mode, PmaxtOptions, TestMethod, Workload};
 use sprint_jobd::client::{expect_ok, request_retried, RetryPolicy};
 use sprint_jobd::json::Json;
 use sprint_jobd::{
@@ -94,6 +95,24 @@ fn run_to_completion(
     panic!("job failed 200 consecutive times — fault rate runaway?");
 }
 
+/// [`run_to_completion`] for a bootstrap job.
+fn boot_to_completion(mgr: &JobManager, spec: &JobSpec) -> (BootstrapResult, u32) {
+    for attempt in 1..=200u32 {
+        let info = mgr.submit(spec.clone()).expect("submit must not fail");
+        match mgr.wait_boot_result(info.id, Some(WAIT)) {
+            Ok(r) => return (r, attempt),
+            Err(JobError::Failed(reason)) => {
+                assert!(
+                    reason.contains("injected") || reason.contains("panicked"),
+                    "only injected faults may fail a soak job, got: {reason}"
+                );
+            }
+            Err(other) => panic!("unexpected terminal error: {other}"),
+        }
+    }
+    panic!("bootstrap job failed 200 consecutive times — fault rate runaway?");
+}
+
 /// Multi-job soak across all six statistics with worker panics, span I/O
 /// errors and cache corruption armed. Every job must settle, the manager
 /// must survive, and every final table must be bitwise-identical to the
@@ -165,6 +184,41 @@ fn soak_all_statistics_survive_faults_bitwise_identical() {
             }
         }
     }
+
+    // Bootstrap jobs draw the same worker fault classes once per band. Run
+    // them until one has failed under injection and been resubmitted; every
+    // served table, that resubmit's included, must equal `boot_run` bitwise.
+    let mut boot_retried = false;
+    for round in 0..100u64 {
+        let labels = vec![0u8, 0, 0, 0, 1, 1, 1, 1];
+        let data = synth_matrix(40, labels.len(), 9100 + round);
+        let opts = PmaxtOptions::default()
+            .workload(Workload::Bootstrap)
+            .permutations(240)
+            .seed(17 + round)
+            .threads(2)
+            .batch(4);
+        let spec = JobSpec {
+            data: data.clone(),
+            classlabel: labels.clone(),
+            opts: opts.clone(),
+            source_path: None,
+        };
+        let (served, attempts) = boot_to_completion(&mgr, &spec);
+        let direct = boot_run(&data, &labels, &opts).unwrap();
+        assert_eq!(
+            served, direct,
+            "bootstrap round {round}: faulted run must stay bitwise-identical"
+        );
+        boot_retried |= attempts > 1;
+        if boot_retried {
+            break;
+        }
+    }
+    assert!(
+        boot_retried,
+        "no bootstrap job ever needed a retry — injection path untested"
+    );
 
     // The soak only proves something if the faults actually fired. The
     // cache-corrupt class is only demanded in exact mode: exact spans store

@@ -9,9 +9,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use sprint_core::boot::boot_run;
 use sprint_core::matrix::Matrix;
 use sprint_core::maxt::serial::mt_maxt;
-use sprint_core::options::{PmaxtOptions, TestMethod};
+use sprint_core::options::{PmaxtOptions, TestMethod, Workload};
 use sprint_jobd::{FaultKind, Faults, JobManager, JobSpec, ManagerConfig, Server, ServerConfig};
 
 const WAIT: Duration = Duration::from_secs(120);
@@ -145,6 +146,40 @@ fn peer_fault_soak_all_statistics_bitwise_identical() {
                 "{test:?} round {round}: every span merged exactly once"
             );
         }
+
+        // Bootstrap gene bands ride the same roster, dispatchers and orphan
+        // queue, so the same damage must leave them bitwise-exact too.
+        let labels = vec![0, 0, 0, 0, 1, 1, 1, 1];
+        let data = synth_matrix(30, labels.len(), 7500 + round);
+        let opts = PmaxtOptions::default()
+            .workload(Workload::Bootstrap)
+            .permutations(200)
+            .seed(23 + round);
+        let dataset = dir.join(format!("boot-{round}.tsv"));
+        microarray::io::write_dataset(&dataset, &data, &labels).unwrap();
+        let info = mgr
+            .submit(JobSpec {
+                data: data.clone(),
+                classlabel: labels.clone(),
+                opts: opts.clone(),
+                source_path: Some(dataset),
+            })
+            .expect("submit must not fail");
+        let served = mgr
+            .wait_boot_result(info.id, Some(WAIT))
+            .expect("peer faults must never fail a sharded bootstrap job");
+        let serial = boot_run(&data, &labels, &opts).unwrap();
+        assert_eq!(
+            served, serial,
+            "bootstrap round {round}: sharded estimates under peer faults \
+             must be bitwise-identical to serial"
+        );
+        let comm = mgr.status(info.id).unwrap().comm.expect("comm counters");
+        assert_eq!(
+            comm.spans_total,
+            comm.spans_local + comm.spans_remote,
+            "bootstrap round {round}: every band merged exactly once"
+        );
     }
 
     // The fixed seed makes the draw sequence deterministic enough that each

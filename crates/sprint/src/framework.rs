@@ -5,7 +5,7 @@
 //! evaluate it collectively.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use mpi_sim::{Communicator, Universe, MASTER};
 
@@ -98,12 +98,13 @@ impl Sprint {
     {
         let registry = Arc::new(self.registry);
         let codec = self.codec;
-        let script = Arc::new(parking_lot::Mutex::new(Some(script)));
+        let script = Arc::new(Mutex::new(Some(script)));
         let mut outputs = Universe::run(n_ranks, move |comm| {
             let payload = MasterPayload::new();
             if comm.is_master() {
                 let script = script
                     .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .take()
                     .expect("script runs exactly once, on the master");
                 let master = Master {

@@ -4,10 +4,9 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mpi_sim::Communicator;
-use parking_lot::Mutex;
 
 use crate::args::Args;
 
@@ -26,20 +25,26 @@ impl MasterPayload {
         Self::default()
     }
 
+    /// Lock the stash. A panic elsewhere cannot leave it torn (each access
+    /// is one map operation), so a poisoned lock is recovered.
+    fn stash(&self) -> MutexGuard<'_, HashMap<String, Box<dyn Any + Send>>> {
+        self.items.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Stage a payload under `key`.
     pub fn put<T: Any + Send>(&self, key: &str, value: T) {
-        self.items.lock().insert(key.to_string(), Box::new(value));
+        self.stash().insert(key.to_string(), Box::new(value));
     }
 
     /// Take a payload out (the call consumes it).
     pub fn take<T: Any + Send>(&self, key: &str) -> Option<T> {
-        let boxed = self.items.lock().remove(key)?;
+        let boxed = self.stash().remove(key)?;
         boxed.downcast::<T>().ok().map(|b| *b)
     }
 
     /// True if a payload is staged under `key`.
     pub fn contains(&self, key: &str) -> bool {
-        self.items.lock().contains_key(key)
+        self.stash().contains_key(key)
     }
 }
 
