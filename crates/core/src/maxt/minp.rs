@@ -229,7 +229,8 @@ pub fn pminp(
     budget_bytes: Option<usize>,
     n_ranks: usize,
 ) -> Result<MaxTResult> {
-    use mpi_sim::{Universe, MASTER};
+    use crate::wire;
+    use mpi_sim::{Comm, Universe, MASTER};
 
     if n_ranks == 0 {
         return Err(Error::Comm("at least one rank required".into()));
@@ -300,14 +301,23 @@ pub fn pminp(
                 chunk[j_local * genes + g] = opts.side.score(stat);
             }
         }
-        let gathered = comm
-            .gather(MASTER, (start, chunk, obs_stats))
-            .expect("score gather");
+        // Wire form: chunk start, then the chunk and the observed statistics
+        // as f64 bit patterns, so the gathered matrix is bit-identical.
+        let mut part = Vec::with_capacity(8 * (chunk.len() + genes + 3));
+        wire::put_u64(&mut part, start);
+        wire::encode_f64_vec(&chunk, &mut part);
+        wire::encode_f64_vec(&obs_stats, &mut part);
+        let gathered = comm.gather_bytes(MASTER, part).expect("score gather");
         gathered.map(|parts| {
             let bu = *b as usize;
             let mut scores = vec![f64::NEG_INFINITY; genes * bu];
             let mut obs = vec![f64::NAN; genes];
-            for (part_start, part_chunk, part_obs) in parts {
+            for part in &parts {
+                let mut r = wire::Reader::new(part);
+                let part_start = r.u64().expect("chunk start");
+                let part_chunk = wire::decode_f64_vec(&mut r).expect("chunk scores");
+                let part_obs = wire::decode_f64_vec(&mut r).expect("observed stats");
+                r.finish().expect("whole score part consumed");
                 let part_take = part_chunk.len() / genes;
                 for j_local in 0..part_take {
                     let j = part_start as usize + j_local;

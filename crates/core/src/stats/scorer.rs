@@ -198,7 +198,7 @@ pub trait Scorer: std::fmt::Debug + Send + Sync {
 
     /// Score every gene under a single label arrangement into `out`
     /// (indexed by gene). Convenience for the non-batched paths (observed
-    /// statistics, the serial reference loop, sequential estimation).
+    /// statistics, the serial reference loop, the minP ranks).
     fn stats_into(&self, labels: &[u8], scratch: &mut ScorerScratch, out: &mut [f64]) {
         let bufs = [labels.to_vec()];
         self.begin_batch(&bufs, scratch);

@@ -11,15 +11,6 @@ pub enum CommError {
         /// Rank of the unreachable peer.
         peer: usize,
     },
-    /// A message arrived with the expected tag but its payload was not of the
-    /// requested type. In a correct SPMD program this indicates mismatched
-    /// send/receive types.
-    TypeMismatch {
-        /// Rank of the sender.
-        src: usize,
-        /// Tag of the offending message.
-        tag: u64,
-    },
     /// A rank index outside `0..size` was supplied.
     InvalidRank {
         /// The offending rank.
@@ -53,12 +44,6 @@ impl fmt::Display for CommError {
             CommError::Disconnected { peer } => {
                 write!(f, "peer rank {peer} disconnected")
             }
-            CommError::TypeMismatch { src, tag } => {
-                write!(
-                    f,
-                    "payload type mismatch on message from rank {src} tag {tag}"
-                )
-            }
             CommError::InvalidRank { rank, size } => {
                 write!(
                     f,
@@ -89,8 +74,12 @@ mod tests {
     fn display_formats_are_informative() {
         let d = CommError::Disconnected { peer: 3 };
         assert!(d.to_string().contains("rank 3"));
-        let t = CommError::TypeMismatch { src: 1, tag: 42 };
-        assert!(t.to_string().contains("tag 42"));
+        let t = CommError::Protocol {
+            peer: 1,
+            detail: "frame length 42 exceeds cap".into(),
+        };
+        assert!(t.to_string().contains("rank 1"));
+        assert!(t.to_string().contains("42"));
         let r = CommError::InvalidRank { rank: 9, size: 4 };
         assert!(r.to_string().contains('9'));
         assert!(r.to_string().contains('4'));

@@ -4,42 +4,42 @@
 //! owns the receiving ends of column `r` and the sending ends of row `r`
 //! (including a self-loop, which lets collectives treat the root uniformly).
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
-use crate::envelope::Envelope;
+/// One in-flight message: its tag and its payload bytes.
+pub(crate) type Message = (u64, Vec<u8>);
 
 /// The per-rank view of the mesh: senders to every rank, receivers from every
 /// rank.
 pub(crate) struct Endpoints {
     /// `senders[d]` delivers to rank `d`.
-    pub senders: Vec<Sender<Envelope>>,
+    pub senders: Vec<Sender<Message>>,
     /// `receivers[s]` receives what rank `s` sent to us.
-    pub receivers: Vec<Receiver<Envelope>>,
+    pub receivers: Vec<Receiver<Message>>,
 }
 
 /// Build endpoints for all `size` ranks.
 pub(crate) fn build_mesh(size: usize) -> Vec<Endpoints> {
     assert!(size > 0, "universe must have at least one rank");
-    // txs[s][d] sends from s to d; rxs[d][s] receives at d from s.
-    let mut txs: Vec<Vec<Option<Sender<Envelope>>>> = (0..size)
-        .map(|_| (0..size).map(|_| None).collect())
-        .collect();
-    let mut rxs: Vec<Vec<Option<Receiver<Envelope>>>> = (0..size)
-        .map(|_| (0..size).map(|_| None).collect())
-        .collect();
-    for (s, row) in txs.iter_mut().enumerate() {
-        for (d, slot) in row.iter_mut().enumerate() {
-            let (tx, rx) = unbounded();
-            *slot = Some(tx);
-            rxs[d][s] = Some(rx);
-        }
-    }
-    txs.into_iter()
-        .zip(rxs)
-        .map(|(tx_row, rx_row)| Endpoints {
-            senders: tx_row.into_iter().map(Option::unwrap).collect(),
-            receivers: rx_row.into_iter().map(Option::unwrap).collect(),
+    // columns[d] collects the receiving ends at rank d, one per source rank
+    // in source order; each pass of the map builds source rank s's row.
+    let mut columns: Vec<Vec<Receiver<Message>>> =
+        (0..size).map(|_| Vec::with_capacity(size)).collect();
+    let rows: Vec<Vec<Sender<Message>>> = (0..size)
+        .map(|_| {
+            columns
+                .iter_mut()
+                .map(|column| {
+                    let (tx, rx) = channel();
+                    column.push(rx);
+                    tx
+                })
+                .collect()
         })
+        .collect();
+    rows.into_iter()
+        .zip(columns)
+        .map(|(senders, receivers)| Endpoints { senders, receivers })
         .collect()
 }
 
@@ -65,10 +65,10 @@ mod tests {
         let ep1 = eps.pop().unwrap();
         let ep0 = eps.pop().unwrap();
         // 0 -> 2
-        ep0.senders[2].send(Envelope::new(5, 123u32)).unwrap();
-        let env = ep2.receivers[0].recv().unwrap();
-        assert_eq!(env.tag, 5);
-        assert_eq!(env.open::<u32>().unwrap(), 123);
+        ep0.senders[2].send((5, vec![1, 2, 3])).unwrap();
+        let (tag, payload) = ep2.receivers[0].recv().unwrap();
+        assert_eq!(tag, 5);
+        assert_eq!(payload, vec![1, 2, 3]);
         // 1's channels saw nothing.
         assert!(ep1.receivers[0].try_recv().is_err());
     }
@@ -76,11 +76,8 @@ mod tests {
     #[test]
     fn self_loop_works() {
         let eps = build_mesh(1);
-        eps[0].senders[0].send(Envelope::new(1, 9i64)).unwrap();
-        assert_eq!(
-            eps[0].receivers[0].recv().unwrap().open::<i64>().unwrap(),
-            9
-        );
+        eps[0].senders[0].send((1, vec![9])).unwrap();
+        assert_eq!(eps[0].receivers[0].recv().unwrap(), (1, vec![9]));
     }
 
     #[test]

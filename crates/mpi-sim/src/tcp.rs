@@ -34,9 +34,8 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use crate::comm_trait::{CollectiveKind, TRAIT_COLL_BIT};
+use crate::comm_trait::{collective_tag, CollectiveKind, MessageStats};
 use crate::error::{CommError, CommResult};
-use crate::MessageStats;
 
 /// Frame magic: "SPRC" — SPRINT comm.
 const MAGIC: u32 = 0x5350_5243;
@@ -104,14 +103,13 @@ struct Peer {
     pending: RefCell<VecDeque<(u64, Vec<u8>)>>,
 }
 
-/// A rank's handle to a TCP mesh. Like the in-process `Communicator` it is
-/// deliberately `!Sync`: each rank owns exactly one and drives it from its
-/// own thread.
+/// A rank's handle to a TCP mesh. Like the in-process
+/// [`ChannelComm`](crate::ChannelComm) it is deliberately `!Sync`: each rank
+/// owns exactly one and drives it from its own thread.
 pub struct TcpComm {
     rank: usize,
     size: usize,
     peers: Vec<Option<Peer>>,
-    coll_seq: Cell<u64>,
     frames_sent: Cell<u64>,
     frames_received: Cell<u64>,
     bytes_sent: Cell<u64>,
@@ -322,7 +320,6 @@ impl TcpComm {
             rank,
             size,
             peers,
-            coll_seq: Cell::new(0),
             frames_sent: Cell::new(0),
             frames_received: Cell::new(0),
             bytes_sent: Cell::new(0),
@@ -404,10 +401,9 @@ impl crate::comm_trait::Comm for TcpComm {
     }
 
     fn next_collective(&self, kind: CollectiveKind) -> u64 {
-        self.collectives.set(self.collectives.get() + 1);
-        let seq = self.coll_seq.get();
-        self.coll_seq.set(seq + 1);
-        TRAIT_COLL_BIT | (seq << 3) | kind as u64
+        let seq = self.collectives.get();
+        self.collectives.set(seq + 1);
+        collective_tag(seq, kind)
     }
 
     fn message_stats(&self) -> MessageStats {
@@ -524,57 +520,6 @@ mod tests {
             // 16-byte header + 3-byte payload per frame, both directions.
             assert_eq!(stats.bytes_sent, 19);
             assert_eq!(stats.bytes_received, 19);
-        }
-    }
-
-    #[test]
-    fn out_of_order_tags_are_buffered_per_peer() {
-        let results = TcpFleet::localhost(2)
-            .unwrap()
-            .run(|comm| {
-                if comm.rank() == 0 {
-                    comm.send_bytes(1, 10, vec![10]).unwrap();
-                    comm.send_bytes(1, 20, vec![20]).unwrap();
-                    comm.send_bytes(1, 30, vec![30]).unwrap();
-                    Vec::new()
-                } else {
-                    // Ask for the tags in reverse send order.
-                    let a = comm.recv_bytes(0, 30).unwrap();
-                    let b = comm.recv_bytes(0, 20).unwrap();
-                    let c = comm.recv_bytes(0, 10).unwrap();
-                    vec![a[0], b[0], c[0]]
-                }
-            })
-            .unwrap();
-        assert_eq!(results[1], vec![30, 20, 10]);
-    }
-
-    #[test]
-    fn collectives_over_tcp_match_channel_backend() {
-        for p in [1usize, 2, 3, 4] {
-            let tcp = TcpFleet::localhost(p)
-                .unwrap()
-                .run(|comm| {
-                    let payload = if comm.is_master() {
-                        Some(vec![42u8; 5])
-                    } else {
-                        None
-                    };
-                    let b = comm.bcast_bytes(0, payload).unwrap();
-                    comm.barrier().unwrap();
-                    let r = comm.reduce_sum_u64(0, vec![comm.rank() as u64, 1]).unwrap();
-                    let g = comm.gather_bytes(0, vec![comm.rank() as u8]).unwrap();
-                    (b, r, g)
-                })
-                .unwrap();
-            assert!(tcp.iter().all(|(b, _, _)| b == &vec![42u8; 5]));
-            let expect: u64 = (0..p as u64).sum();
-            assert_eq!(tcp[0].1, Some(vec![expect, p as u64]));
-            assert_eq!(
-                tcp[0].2,
-                Some((0..p as u8).map(|r| vec![r]).collect::<Vec<_>>())
-            );
-            assert!(tcp[1..].iter().all(|(_, r, g)| r.is_none() && g.is_none()));
         }
     }
 

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::thread;
 
-use crate::comm::Communicator;
+use crate::channel::ChannelComm;
 use crate::mesh::build_mesh;
 
 /// Error returned when one or more ranks panicked.
@@ -31,7 +31,7 @@ pub struct Universe;
 
 impl Universe {
     /// Run `body` on `size` ranks (threads), each with its own
-    /// [`Communicator`], and return the per-rank results in rank order.
+    /// [`ChannelComm`], and return the per-rank results in rank order.
     ///
     /// If any rank panics the remaining ranks may observe
     /// [`crate::CommError::Disconnected`]; all threads are joined before the
@@ -39,7 +39,7 @@ impl Universe {
     pub fn run<T, F>(size: usize, body: F) -> Result<Vec<T>, UniverseError>
     where
         T: Send + 'static,
-        F: Fn(&Communicator) -> T + Send + Sync + 'static,
+        F: Fn(&ChannelComm) -> T + Send + Sync + 'static,
     {
         assert!(size > 0, "universe must have at least one rank");
         let endpoints = build_mesh(size);
@@ -51,7 +51,7 @@ impl Universe {
                 thread::Builder::new()
                     .name(format!("mpi-sim-rank-{rank}"))
                     .spawn(move || {
-                        let comm = Communicator::new(rank, ep);
+                        let comm = ChannelComm::new(rank, ep);
                         body(&comm)
                     })
                     .expect("failed to spawn rank thread"),
@@ -83,6 +83,7 @@ impl Universe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{decode_u64s, encode_u64s, Comm};
 
     #[test]
     fn results_are_in_rank_order() {
@@ -119,9 +120,14 @@ mod tests {
 
     #[test]
     fn many_ranks_oversubscribe_cores() {
-        // More ranks than cores must still complete (threads block on recv).
-        let out =
-            Universe::run(32, |c| c.allreduce(c.rank() as u64, |a, b| a + b).unwrap()).unwrap();
-        assert!(out.iter().all(|&v| v == (0..32).sum::<u64>()));
+        // More ranks than cores must still complete (threads block on recv):
+        // reduce to the master, then broadcast the sum back to every rank.
+        let out = Universe::run(32, |c| {
+            let sum = c.reduce_sum_u64(0, vec![c.rank() as u64]).unwrap();
+            let bytes = c.bcast_bytes(0, sum.map(|s| encode_u64s(&s))).unwrap();
+            decode_u64s(&bytes, 0).unwrap()
+        })
+        .unwrap();
+        assert!(out.iter().all(|v| v == &vec![(0..32).sum::<u64>()]));
     }
 }

@@ -6,6 +6,7 @@
 use std::any::Any;
 use std::sync::Arc;
 
+use mpi_sim::Comm;
 use sprint_core::matrix::Matrix;
 use sprint_core::maxt::MaxTResult;
 use sprint_core::options::PmaxtOptions;

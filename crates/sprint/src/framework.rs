@@ -7,24 +7,59 @@
 use std::any::Any;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use mpi_sim::{Communicator, Universe, MASTER};
+use mpi_sim::{ChannelComm, Comm, Universe, MASTER};
 
 use crate::args::Args;
 use crate::marshal::{self, Codec};
 use crate::registry::{MasterPayload, Registry, TaskContext};
 
 /// The command the master broadcasts to the waiting workers.
-#[derive(Debug, Clone)]
-enum Command {
+#[derive(Debug, PartialEq)]
+enum Command<'a> {
     /// Evaluate function `code` with the encoded arguments.
-    Call { code: u32, wire_args: Vec<u8> },
+    Call { code: u32, wire_args: &'a [u8] },
     /// Leave the waiting loop (the script finished).
     Shutdown,
 }
 
+/// Wire tag byte of [`Command::Call`].
+const CALL: u8 = 1;
+/// Wire tag byte of [`Command::Shutdown`].
+const SHUTDOWN: u8 = 0;
+
+impl<'a> Command<'a> {
+    /// Wire form: a tag byte; a call adds its function code (`u32`,
+    /// little-endian) and the marshalled arguments.
+    fn encode(&self) -> Vec<u8> {
+        match self {
+            Command::Call { code, wire_args } => {
+                let mut buf = Vec::with_capacity(5 + wire_args.len());
+                buf.push(CALL);
+                buf.extend_from_slice(&code.to_le_bytes());
+                buf.extend_from_slice(wire_args);
+                buf
+            }
+            Command::Shutdown => vec![SHUTDOWN],
+        }
+    }
+
+    /// Parse [`Command::encode`]'s output; `None` for a malformed payload.
+    fn decode(bytes: &'a [u8]) -> Option<Command<'a>> {
+        match bytes.split_first()? {
+            (&CALL, rest) if rest.len() >= 4 => {
+                let (code, wire_args) = rest.split_at(4);
+                let code = u32::from_le_bytes(code.try_into().expect("4 bytes"));
+                Some(Command::Call { code, wire_args })
+            }
+            (&SHUTDOWN, []) => Some(Command::Shutdown),
+            _ => None,
+        }
+    }
+}
+
 /// The master's handle inside a script: call parallel functions by name.
 pub struct Master<'a> {
-    comm: &'a Communicator,
+    comm: &'a ChannelComm,
     registry: &'a Registry,
     payload: &'a MasterPayload,
     codec: Codec,
@@ -53,8 +88,12 @@ impl<'a> Master<'a> {
             .code_of(name)
             .unwrap_or_else(|| panic!("parallel function {name:?} is not registered"));
         let wire_args = marshal::encode(&args, self.codec);
+        let command = Command::Call {
+            code,
+            wire_args: &wire_args,
+        };
         self.comm
-            .bcast(MASTER, Some(Command::Call { code, wire_args }))
+            .bcast_bytes(MASTER, Some(command.encode()))
             .expect("command broadcast");
         let f = self.registry.by_code(code).expect("validated code");
         let ctx = TaskContext {
@@ -114,16 +153,16 @@ impl Sprint {
                     codec,
                 };
                 let out = script(&master);
-                comm.bcast(MASTER, Some(Command::Shutdown))
+                comm.bcast_bytes(MASTER, Some(Command::Shutdown.encode()))
                     .expect("shutdown broadcast");
                 Some(out)
             } else {
                 // The worker waiting loop of Figure 1.
                 loop {
-                    let cmd: Command = comm.bcast(MASTER, None).expect("await command");
-                    match cmd {
+                    let bytes = comm.bcast_bytes(MASTER, None).expect("await command");
+                    match Command::decode(&bytes).expect("malformed command broadcast") {
                         Command::Call { code, wire_args } => {
-                            let args = marshal::decode(&wire_args);
+                            let args = marshal::decode(wire_args);
                             let f = registry.by_code(code).expect("unknown function code");
                             let ctx = TaskContext {
                                 comm,
@@ -153,18 +192,18 @@ mod tests {
         reg.register("sum-ranks", |ctx, _args| {
             let total = ctx
                 .comm
-                .reduce(MASTER, ctx.comm.rank() as u64, |a, b| a + b)
+                .reduce_sum_u64(MASTER, vec![ctx.comm.rank() as u64])
                 .expect("reduce");
-            total.map(|t| Box::new(t) as Box<dyn Any + Send>)
+            total.map(|t| Box::new(t[0]) as Box<dyn Any + Send>)
         });
         reg.register("scale", |ctx, args| {
             let factor = args.get("factor").and_then(Value::as_int).unwrap_or(1);
-            let local = (ctx.comm.rank() as i64 + 1) * factor;
+            let local = (ctx.comm.rank() as u64 + 1) * factor as u64;
             let total = ctx
                 .comm
-                .reduce(MASTER, local, |a, b| a + b)
+                .reduce_sum_u64(MASTER, vec![local])
                 .expect("reduce");
-            total.map(|t| Box::new(t) as Box<dyn Any + Send>)
+            total.map(|t| Box::new(t[0]) as Box<dyn Any + Send>)
         });
         reg
     }
@@ -180,7 +219,7 @@ mod tests {
                     .unwrap();
                 let scaled = *master
                     .call("scale", Args::new().with("factor", Value::Int(10)))
-                    .downcast::<i64>()
+                    .downcast::<u64>()
                     .unwrap();
                 (sum, scaled)
             })
@@ -226,11 +265,32 @@ mod tests {
                 .run(2, |master| {
                     *master
                         .call("scale", Args::new().with("factor", Value::Int(7)))
-                        .downcast::<i64>()
+                        .downcast::<u64>()
                         .unwrap()
                 })
                 .unwrap();
             assert_eq!(out, (1 + 2) * 7, "{codec:?}");
+        }
+    }
+
+    #[test]
+    fn commands_round_trip_and_reject_garbage() {
+        let args = [1u8, 2, 3];
+        for cmd in [
+            Command::Call {
+                code: 0x0102_0304,
+                wire_args: &args,
+            },
+            Command::Call {
+                code: 7,
+                wire_args: &[],
+            },
+            Command::Shutdown,
+        ] {
+            assert_eq!(Command::decode(&cmd.encode()), Some(cmd));
+        }
+        for garbage in [&[][..], &[CALL, 1, 2], &[SHUTDOWN, 0], &[9]] {
+            assert_eq!(Command::decode(garbage), None, "{garbage:?}");
         }
     }
 

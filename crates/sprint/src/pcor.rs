@@ -17,8 +17,9 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use mpi_sim::{Communicator, MASTER};
+use mpi_sim::{decode_f64s, encode_f64s, ChannelComm, Comm, MASTER};
 use sprint_core::matrix::Matrix;
+use sprint_core::wire;
 
 use crate::args::Value;
 use crate::framework::Master;
@@ -88,14 +89,29 @@ pub fn row_block(rows: usize, size: usize, rank: usize) -> (usize, usize) {
 
 /// SPMD body: broadcast the matrix, compute the local row block against all
 /// rows, gather blocks on the master. Returns the full matrix on the master.
-pub fn pcor_rank(comm: &Communicator, master_data: Option<&Arc<Matrix>>) -> Option<Vec<f64>> {
+///
+/// The broadcast carries a `rows`/`cols` header and the cells as `f64` bit
+/// patterns, the gather each block's bit patterns, so the parallel result is
+/// bit-identical to [`cor_matrix`].
+pub fn pcor_rank(comm: &ChannelComm, master_data: Option<&Arc<Matrix>>) -> Option<Vec<f64>> {
     let payload = if comm.is_master() {
         let m = master_data.expect("master supplies the matrix");
-        Some((m.rows(), m.cols(), m.as_slice().to_vec()))
+        let mut buf = Vec::new();
+        wire::put_u64(&mut buf, m.rows() as u64);
+        wire::put_u64(&mut buf, m.cols() as u64);
+        wire::encode_f64_vec(m.as_slice(), &mut buf);
+        Some(buf)
     } else {
         None
     };
-    let (rows, cols, data) = comm.bcast(MASTER, payload).expect("data broadcast");
+    let bytes = comm.bcast_bytes(MASTER, payload).expect("data broadcast");
+    let mut r = wire::Reader::new(&bytes);
+    let (rows, cols) = (
+        r.u64().expect("rows") as usize,
+        r.u64().expect("cols") as usize,
+    );
+    let data = wire::decode_f64_vec(&mut r).expect("matrix cells");
+    r.finish().expect("whole matrix payload consumed");
     let local = Matrix::from_vec(rows, cols, data).expect("validated dims");
     let (start, len) = row_block(rows, comm.size(), comm.rank());
     let mut block = vec![0.0f64; len * rows];
@@ -109,11 +125,13 @@ pub fn pcor_rank(comm: &Communicator, master_data: Option<&Arc<Matrix>>) -> Opti
             };
         }
     }
-    let gathered = comm.gather(MASTER, block).expect("block gather");
+    let gathered = comm
+        .gather_bytes(MASTER, encode_f64s(&block))
+        .expect("block gather");
     gathered.map(|blocks| {
         let mut out = Vec::with_capacity(rows * rows);
-        for b in blocks {
-            out.extend_from_slice(&b);
+        for (src, b) in blocks.iter().enumerate() {
+            out.extend(decode_f64s(b, src).expect("block decode"));
         }
         debug_assert_eq!(out.len(), rows * rows);
         out

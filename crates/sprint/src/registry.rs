@@ -6,7 +6,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use mpi_sim::Communicator;
+use mpi_sim::ChannelComm;
 
 use crate::args::Args;
 
@@ -51,7 +51,7 @@ impl MasterPayload {
 /// Execution context handed to a parallel function on each rank.
 pub struct TaskContext<'a> {
     /// The rank's communicator.
-    pub comm: &'a Communicator,
+    pub comm: &'a ChannelComm,
     /// The master's payload stash (empty on workers).
     pub payload: &'a MasterPayload,
 }

@@ -1,14 +1,15 @@
 //! The extension procedures beyond the paper: step-down **minP** (the
-//! companion `multtest` adjustment) and **sequential early stopping**
-//! (Besag–Clifford style), compared against maxT on the same data — plus
-//! `pcor`, the SPRINT library's original parallel correlation function.
+//! companion `multtest` adjustment, here run in parallel) and **adaptive
+//! early stopping** (`--mode adaptive`), compared against maxT on the same
+//! data — plus `pcor`, the SPRINT library's original parallel correlation
+//! function.
 
 use microarray::prelude::*;
 use sprint::driver::standard_registry;
 use sprint::framework::Sprint;
 use sprint::pcor::call_pcor;
-use sprint_core::maxt::minp::mt_minp;
-use sprint_core::maxt::sequential::sequential_rawp;
+use sprint_core::adaptive::{adaptive_maxt, AdaptiveConfig};
+use sprint_core::maxt::minp::{mt_minp, pminp};
 use sprint_core::prelude::*;
 
 fn main() {
@@ -22,9 +23,18 @@ fn main() {
     // maxT (the paper's procedure) vs minP (extension): same raw p-values,
     // differently balanced adjustments.
     let maxt = mt_maxt(&ds.matrix, &ds.labels, &opts).expect("maxT");
-    let minp = mt_minp(&ds.matrix, &ds.labels, &opts, None).expect("minP");
+    // minP's score matrix is computed on 3 ranks and gathered on the
+    // master; the result must match the serial procedure bit for bit.
+    let minp = pminp(&ds.matrix, &ds.labels, &opts, None, 3).expect("parallel minP");
+    let serial_minp = mt_minp(&ds.matrix, &ds.labels, &opts, None).expect("serial minP");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&minp.adjp),
+        bits(&serial_minp.adjp),
+        "pminp == mt_minp"
+    );
     println!(
-        "maxT vs minP on {} genes (B = {}):",
+        "maxT vs minP (3 ranks, bit-identical to serial) on {} genes (B = {}):",
         ds.matrix.rows(),
         opts.b
     );
@@ -54,21 +64,25 @@ fn main() {
         ds.matrix.rows()
     );
 
-    // Sequential early stopping: same answer for the boring genes at a
-    // fraction of the permutations.
-    let seq = sequential_rawp(&ds.matrix, &ds.labels, &opts, 15, opts.b).expect("sequential");
+    // Adaptive early stopping: the same permutation stream, but a gene
+    // stops once it is certifiably non-significant; its exact raw p-value is
+    // guaranteed to lie inside the reported [p_lower, p_upper] envelope.
+    let adaptive =
+        adaptive_maxt(&ds.matrix, &ds.labels, &opts, &AdaptiveConfig::default()).expect("adaptive");
+    let report = &adaptive.report;
     println!(
-        "sequential stopping (h = 15): consumed {} of {} permutations (stopped early: {})",
-        seq.b_done, opts.b, seq.stopped_early
+        "adaptive mode: scored {:.1}% of the exact budget; {} of {} genes stopped early",
+        100.0 * report.budget_fraction(),
+        report.genes_stopped(),
+        ds.matrix.rows()
     );
-    let max_dev = seq
-        .rawp
-        .iter()
-        .zip(&maxt.rawp)
-        .filter(|(a, b)| !a.is_nan() && !b.is_nan() && **b > 0.05)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    println!("max |sequential − fixed-B| over non-significant genes: {max_dev:.4}\n");
+    let inside = (0..ds.matrix.rows())
+        .filter(|&g| !maxt.rawp[g].is_nan())
+        .filter(|&g| report.p_lower[g] <= maxt.rawp[g] && maxt.rawp[g] <= report.p_upper[g])
+        .count();
+    let computable = maxt.rawp.iter().filter(|p| !p.is_nan()).count();
+    println!("exact raw p inside the adaptive envelope for {inside}/{computable} genes\n");
+    assert_eq!(inside, computable, "the envelope is a deterministic bound");
 
     // pcor through the framework: correlation of the top differential genes.
     let top: Vec<usize> = maxt.by_significance().take(6).map(|r| r.index).collect();
