@@ -895,9 +895,11 @@ pub struct ClusterRow {
     /// Kernel speedup over the one-daemon baseline:
     /// `baseline_kernel_secs * jobs / kernel_critical_secs`.
     pub kernel_speedup: f64,
-    /// Share of wall time not spent in any kernel — framing, dataset
-    /// re-reads, validation, merging, scheduling: `(wall - kernel_total) /
-    /// wall`, floored at zero.
+    /// Share of wall time not covered by the critical-path kernel — framing,
+    /// scorer set-up, merging, scheduling and daemons sharing cores:
+    /// `1 − kernel_critical / wall`, clamped to `[0, 1]`. Unlike
+    /// `(wall − kernel_total) / wall` it stays meaningful when daemons run
+    /// in parallel, where `kernel_total` exceeds wall.
     pub comm_overhead_share: f64,
     /// Spans computed by the coordinator itself, across all jobs.
     pub spans_local: u64,
@@ -1083,8 +1085,8 @@ pub fn cluster_bench(
             kernel_critical_secs,
             kernel_speedup: baseline_kernel_secs * jobs as f64
                 / kernel_critical_secs.max(f64::EPSILON),
-            comm_overhead_share: ((wall_secs - kernel_total_secs) / wall_secs.max(f64::EPSILON))
-                .max(0.0),
+            comm_overhead_share: (1.0 - kernel_critical_secs / wall_secs.max(f64::EPSILON))
+                .clamp(0.0, 1.0),
             spans_local,
             spans_remote,
             bytes_sent,
@@ -1435,8 +1437,8 @@ pub fn cluster_bench_to_json(r: &ClusterBench) -> String {
          daemon. kernel_speedup = baseline_kernel * jobs / kernel_critical. \
          Wall rows serialize on this machine's cores and carry framing, \
          scorer set-up and merging (peers parse the dataset once and then \
-         serve spans from their dataset cache); their share is \
-         comm_overhead_share. single_process_wall_secs runs the same jobs in \
+         serve spans from their dataset cache); comm_overhead_share = \
+         1 - kernel_critical / wall, clamped to [0, 1]. single_process_wall_secs runs the same jobs in \
          one process granted threads equal to the largest roster.\","
     );
     let _ = writeln!(s, "  \"genes\": {},", r.genes);
@@ -1877,6 +1879,11 @@ mod tests {
             "critical path shrinks with roster size"
         );
         assert!(two.comm_overhead_share >= 0.0 && two.comm_overhead_share <= 1.0);
+        let uncovered = (1.0 - two.kernel_critical_secs / two.wall_secs).clamp(0.0, 1.0);
+        assert!(
+            (two.comm_overhead_share - uncovered).abs() < 1e-12,
+            "comm share is the wall not covered by the critical-path kernel"
+        );
         let json = cluster_bench_to_json(&r);
         assert!(json.contains("\"kernel_speedup\""));
         assert!(json.contains("\"comm_overhead_share\""));

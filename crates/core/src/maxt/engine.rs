@@ -43,16 +43,18 @@ use crate::maxt::{CountAccumulator, MaxTContext, MaxTResult, EPSILON};
 use crate::options::PmaxtOptions;
 use crate::perm::{build_generator, ResamplingStream};
 use crate::stats::scorer::ScorerScratch;
+use crate::stats::soa::LANE;
 
 /// Default permutations per batch when `batch = 0` (auto). Large enough to
 /// amortize the per-batch label/index setup and give the tiled loop a hot
 /// row, small enough that the gene-major score buffer stays modest.
 pub const DEFAULT_BATCH: usize = 32;
 
-/// Genes per tile of the batched inner loop. 256 rows × 8 bytes × a typical
-/// sample count keeps a tile's working set within L2 while the row being
-/// scored stays in L1 across the batch.
-pub const GENE_TILE: usize = 256;
+/// Genes per scoring tile of the batched loop: the scorer writes one tile's
+/// statistics (`GENE_TILE × batch` values, 16 KB at the default batch) and
+/// the ranking pass reads them back while they are still in L1. A multiple
+/// of the scorers' block width, so tiles never split a block.
+pub const GENE_TILE: usize = 8 * LANE;
 
 /// Resolved thread/batch geometry for one engine invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -391,13 +393,20 @@ pub fn maxt_threaded(data: &Matrix, classlabel: &[u8], opts: &PmaxtOptions) -> R
 }
 
 /// Reusable per-worker buffers for the batched accumulation loop: the label
-/// arrangements, the gene-major score buffer and the scorer's scratch.
+/// arrangements, one tile of raw statistics, the batch's scores in
+/// significance order, the step-down maxima and the scorer's scratch.
 /// Allocated once per worker (via [`MaxTContext::batch_buffers`]) and reused
 /// across every batch, so the hot loop performs no allocation.
 #[derive(Debug)]
 pub struct BatchBuffers {
     labels_bufs: Vec<Vec<u8>>,
-    scores: Vec<f64>,
+    /// One tile's raw statistics, `tile[(g − tile start)·batch + j]`.
+    tile: Vec<f64>,
+    /// The batch's extremeness scores by significance rank: row `i` holds
+    /// gene `order[i]`, `ranked[i·batch + j]`.
+    ranked: Vec<f64>,
+    /// The step-down pass's running maxima, one per arrangement.
+    maxima: Vec<f64>,
     scratch: ScorerScratch,
 }
 
@@ -406,13 +415,12 @@ impl MaxTContext<'_> {
     /// arrangements per batch (`0` selects [`DEFAULT_BATCH`]).
     pub fn batch_buffers(&self, batch: usize) -> BatchBuffers {
         let batch = if batch == 0 { DEFAULT_BATCH } else { batch };
-        let mut scratch = self.scorer.make_scratch();
-        // Pre-size the lane accumulators so the first tile allocates nothing.
-        self.scorer.warm_scratch(&mut scratch, GENE_TILE);
         BatchBuffers {
             labels_bufs: vec![vec![0u8; self.cols]; batch],
-            scores: vec![0.0f64; self.genes * batch],
-            scratch,
+            tile: vec![0.0f64; GENE_TILE.min(self.genes) * batch],
+            ranked: vec![0.0f64; self.genes * batch],
+            maxima: vec![f64::NEG_INFINITY; batch],
+            scratch: self.scorer.make_scratch(),
         }
     }
 
@@ -436,14 +444,14 @@ impl MaxTContext<'_> {
     /// buffers' capacity is the batch size).
     ///
     /// Per batch, the scorer derives its per-arrangement structures once
-    /// ([`crate::stats::scorer::Scorer::begin_batch`]); the matrix is then
-    /// walked **gene-outer, permutation-inner** in tiles of [`GENE_TILE`]
-    /// rows, so each cached row is loaded once per batch and scored against
-    /// every arrangement while hot. Scores land gene-major in a
-    /// `genes × batch` buffer; the statistic → extremeness transform fuses
-    /// into the tile pass, and the step-down (successive-maxima) pass runs
-    /// per permutation afterwards. Counts are identical to `accumulate` for
-    /// every batch size — see the module docs.
+    /// ([`crate::stats::scorer::Scorer::begin_batch`]); the genes are then
+    /// scored in tiles of [`GENE_TILE`], every arrangement of the batch per
+    /// tile. While a tile is hot, each gene's statistics are turned into
+    /// extremeness scores, counted against the gene's observed score (raw
+    /// counts) and stored at the gene's significance rank. The step-down
+    /// (successive-maxima) pass then walks the ranked rows in sequence.
+    /// Counts are identical to `accumulate` for every batch size — see the
+    /// module docs.
     pub fn accumulate_batched_with(
         &self,
         gen: &mut dyn ResamplingStream,
@@ -453,7 +461,7 @@ impl MaxTContext<'_> {
     ) -> u64 {
         assert_eq!(acc.genes(), self.genes(), "accumulator size mismatch");
         let batch = bufs.labels_bufs.len();
-        debug_assert_eq!(bufs.scores.len(), self.genes * batch, "buffer mismatch");
+        debug_assert_eq!(bufs.ranked.len(), self.genes * batch, "buffer mismatch");
         let mut done = 0u64;
         while done < take {
             let want = (take - done).min(batch as u64) as usize;
@@ -464,93 +472,87 @@ impl MaxTContext<'_> {
             if k == 0 {
                 break;
             }
-            self.score_batch(
-                &bufs.labels_bufs[..k],
-                &mut bufs.scratch,
-                &mut bufs.scores,
-                batch,
-            );
-            self.count_batch(&bufs.scores, batch, k, acc);
+            self.score_ranked(bufs, k, acc);
+            self.count_adjusted(&bufs.ranked, batch, &mut bufs.maxima[..k], acc);
+            acc.n_perm += k as u64;
             done += k as u64;
         }
         done
     }
 
-    /// Fill `scores[g * stride + j]` with the extremeness score of gene `g`
-    /// under arrangement `j`, walking genes tile by tile through the run's
-    /// scorer.
-    fn score_batch(
-        &self,
-        labels_bufs: &[Vec<u8>],
-        scratch: &mut ScorerScratch,
-        scores: &mut [f64],
-        stride: usize,
-    ) {
-        let genes = self.genes;
-        let k = labels_bufs.len();
-        self.scorer.begin_batch(labels_bufs, scratch);
-        let mut tile_start = 0usize;
-        while tile_start < genes {
-            let tile_end = (tile_start + GENE_TILE).min(genes);
-            self.scorer
-                .score_tile(labels_bufs, tile_start..tile_end, scratch, scores, stride);
-            // Statistic → extremeness score while the tile is hot.
-            for g in tile_start..tile_end {
-                let slots = &mut scores[g * stride..g * stride + k];
-                for slot in slots.iter_mut() {
-                    *slot = self.side.score(*slot);
+    /// Score a batch of `k` arrangements tile by tile and store each gene's
+    /// extremeness scores at its significance rank in `bufs.ranked`,
+    /// counting raw exceedances on the way.
+    fn score_ranked(&self, bufs: &mut BatchBuffers, k: usize, acc: &mut CountAccumulator) {
+        let stride = bufs.labels_bufs.len();
+        let labels_bufs = &bufs.labels_bufs[..k];
+        self.scorer.begin_batch(labels_bufs, &mut bufs.scratch);
+        let mut start = 0usize;
+        while start < self.genes {
+            let end = (start + GENE_TILE).min(self.genes);
+            self.scorer.score_tile(
+                labels_bufs,
+                start..end,
+                &bufs.scratch,
+                &mut bufs.tile,
+                stride,
+            );
+            for (row, g) in (start..end).enumerate() {
+                let stats = &bufs.tile[row * stride..row * stride + k];
+                let rank = self.rank[g] * stride;
+                let observed = self.obs_scores[g] - EPSILON;
+                let mut hits = 0u64;
+                for (slot, &stat) in bufs.ranked[rank..rank + k].iter_mut().zip(stats) {
+                    let score = self.side.score(stat);
+                    *slot = score;
+                    hits += u64::from(score >= observed);
                 }
+                acc.count_raw[g] += hits;
             }
-            tile_start = tile_end;
+            start = end;
         }
     }
 
-    /// Raw and step-down (successive-maxima) exceedance counts over a scored
-    /// batch of `k` arrangements.
-    fn count_batch(&self, scores: &[f64], stride: usize, k: usize, acc: &mut CountAccumulator) {
-        let genes = self.genes();
-        for g in 0..genes {
-            let observed = self.obs_scores[g] - EPSILON;
-            for &score in &scores[g * stride..g * stride + k] {
-                if score >= observed {
-                    acc.count_raw[g] += 1;
-                }
-            }
-        }
+    /// Adjusted counts over the ranked scores of a batch: the step-down
+    /// successive maxima walk the rows from the least significant upwards,
+    /// `maxima` holding one running maximum per arrangement; single-step
+    /// (`tmax`) compares one global maximum per arrangement against every
+    /// ordered observed score.
+    fn count_adjusted(
+        &self,
+        ranked: &[f64],
+        stride: usize,
+        maxima: &mut [f64],
+        acc: &mut CountAccumulator,
+    ) {
+        let k = maxima.len();
+        maxima.fill(f64::NEG_INFINITY);
+        let rows = ranked.chunks_exact(stride).map(|row| &row[..k]);
         if self.single_step() {
-            // Single-step (`tmax`): one global max per arrangement, compared
-            // against every ordered observed score — the batched twin of the
-            // branch in `MaxTContext::accumulate`.
-            for j in 0..k {
-                let mut gmax = f64::NEG_INFINITY;
-                for g in 0..genes {
-                    let s = scores[g * stride + j];
-                    if s > gmax {
-                        gmax = s;
-                    }
-                }
-                for i in 0..genes {
-                    if gmax >= self.obs_scores_ordered[i] - EPSILON {
-                        acc.count_adj[i] += 1;
+            for row in rows {
+                for (max, &s) in maxima.iter_mut().zip(row) {
+                    if s > *max {
+                        *max = s;
                     }
                 }
             }
-            acc.n_perm += k as u64;
+            for (count, &obs) in acc.count_adj.iter_mut().zip(&self.obs_scores_ordered) {
+                let observed = obs - EPSILON;
+                *count += maxima.iter().filter(|&&max| max >= observed).count() as u64;
+            }
             return;
         }
-        for j in 0..k {
-            let mut running_max = f64::NEG_INFINITY;
-            for i in (0..genes).rev() {
-                let s = scores[self.order[i] * stride + j];
-                if s > running_max {
-                    running_max = s;
+        for (i, row) in rows.enumerate().rev() {
+            let observed = self.obs_scores_ordered[i] - EPSILON;
+            let mut hits = 0u64;
+            for (max, &s) in maxima.iter_mut().zip(row) {
+                if s > *max {
+                    *max = s;
                 }
-                if running_max >= self.obs_scores_ordered[i] - EPSILON {
-                    acc.count_adj[i] += 1;
-                }
+                hits += u64::from(*max >= observed);
             }
+            acc.count_adj[i] += hits;
         }
-        acc.n_perm += k as u64;
     }
 }
 

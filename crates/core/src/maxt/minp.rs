@@ -106,13 +106,7 @@ pub fn mt_minp(
             break;
         }
         scorer.begin_batch(&labels_bufs[..k], &mut scratch);
-        scorer.score_tile(
-            &labels_bufs[..k],
-            0..genes,
-            &mut scratch,
-            &mut scores[j..],
-            bu,
-        );
+        scorer.score_tile(&labels_bufs[..k], 0..genes, &scratch, &mut scores[j..], bu);
         if j == 0 {
             // Raw observed statistics: the identity permutation's column,
             // before the in-place extremeness transform below.

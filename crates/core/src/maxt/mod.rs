@@ -9,6 +9,8 @@
 //! identity labelling is permutation index 0 and counts exactly once, so
 //! p-values are never zero (they live in `[1/B, 1]`).
 
+#[cfg(test)]
+mod count_pass_tests;
 pub mod counts;
 pub mod engine;
 pub mod minp;
@@ -61,6 +63,8 @@ pub struct MaxTContext<'a> {
     obs_scores: Vec<f64>,
     /// Significance ordering.
     order: Vec<usize>,
+    /// Inverse of `order`: the significance rank of each gene.
+    rank: Vec<usize>,
     /// Observed scores in `order` order.
     obs_scores_ordered: Vec<f64>,
     /// Single-step max-statistic counting (`test = "tmax"`, per PERMUTOOLS):
@@ -99,7 +103,20 @@ impl<'a> MaxTContext<'a> {
         precision: Precision,
     ) -> Self {
         let scorer = build_scorer(data, labels, method, choice, precision);
-        let genes = data.rows();
+        let shape = (data.rows(), data.cols());
+        Self::from_scorer(scorer, labels, side, method.single_step_max(), shape)
+    }
+
+    /// Bind a built scorer over a `(genes, cols)` matrix to the run:
+    /// observed statistics, their scores, the significance order and its
+    /// inverse.
+    fn from_scorer(
+        scorer: Box<dyn Scorer + 'a>,
+        labels: &ClassLabels,
+        side: Side,
+        single_step: bool,
+        (genes, cols): (usize, usize),
+    ) -> Self {
         // Observed statistics go through the same scorer as the permuted
         // ones so the identity permutation always counts exactly once,
         // whichever scorer is active.
@@ -109,16 +126,21 @@ impl<'a> MaxTContext<'a> {
         let obs_scores: Vec<f64> = obs_stats.iter().map(|&s| side.score(s)).collect();
         let order = significance_order(&obs_scores);
         let obs_scores_ordered = order.iter().map(|&g| obs_scores[g]).collect();
+        let mut rank = vec![0; genes];
+        for (i, &g) in order.iter().enumerate() {
+            rank[g] = i;
+        }
         MaxTContext {
             scorer,
             side,
             genes,
-            cols: data.cols(),
+            cols,
             obs_stats,
             obs_scores,
             order,
+            rank,
             obs_scores_ordered,
-            single_step: method.single_step_max(),
+            single_step,
         }
     }
 

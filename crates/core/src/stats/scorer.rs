@@ -7,48 +7,47 @@
 //! 1. **prepare** (the constructor): cache per-gene sufficient statistics
 //!    once — S = Σ(x−pivot), Q = Σ(x−pivot)², per-pair differences, per-block
 //!    partials, per-row non-missing counts — everything that does not change
-//!    across permutations. The cached values live in column-major
-//!    structure-of-arrays tiles ([`SoaColumns`]): one contiguous, cache-line
-//!    aligned gene lane per column.
+//!    across permutations. The cached values live in block-packed tiles
+//!    ([`GeneBlocks`]): [`LANE`] genes side by side, all columns of a block
+//!    contiguous.
 //! 2. **score** ([`Scorer::begin_batch`] + [`Scorer::score_tile`]): for a
-//!    K-permutation batch, derive the per-arrangement structures (group-1
-//!    column lists, class-major column lists, pair signs, selection bitsets)
-//!    once in `begin_batch`, then score gene tiles with the **selected
-//!    columns in the outer loop and a contiguous lane of genes in the inner
-//!    loop** — an independent-accumulator form the compiler autovectorizes
-//!    (see `stats::soa` for the kernels and DESIGN.md §4.10 for the layout).
+//!    K-permutation batch, derive the per-arrangement structures (class
+//!    column lists, pair signs, selection bitsets) once in `begin_batch`,
+//!    then score gene ranges block by block: for each block, every
+//!    arrangement of the batch walks its selected columns in ascending order
+//!    and accumulates the block's `LANE` genes in register arrays, and the
+//!    statistic is finished for the whole block in one loop (see `stats::soa`
+//!    for the layout and DESIGN.md §4.10).
 //!
-//! All six `mt.maxT` statistics have fast implementations here:
+//! All six `mt.maxT` statistics (and `corr`) have fast implementations here:
 //!
-//! - `t` / `t.equalvar`: per-arrangement lane sums s₁, q₁ over the group-1
+//! - `t` / `t.equalvar`: per-arrangement sums s₁, q₁ over the group-1
 //!   columns; group 0 recovered as S−s₁, Q−q₁; statistic in O(1) from the
 //!   four moments.
-//! - `wilcoxon`: lanes hold midranks, so the group-1 lane sum *is* the rank
-//!   sum.
-//! - `f`: per-class lane sums (s_c, q_c) give SS_between via
+//! - `wilcoxon`: lanes hold midranks, so the group-1 sum *is* the rank sum.
+//! - `f`: per-class sums (s_c, q_c) give SS_between via
 //!   Σ n_c·(s_c/n_c − x̄)² and SS_within via Σ (q_c − s_c²/n_c) — the exact
 //!   scalar decomposition, never the cancellation-prone SS_total − SS_between.
 //! - `pairt`: per-pair base differences d⁰_p = x_{2p+1} − x_{2p} and
 //!   Σ(d⁰)² are permutation-invariant; an arrangement only flips signs, so
-//!   scoring is **gather-free**: one ±1-broadcast scaled lane add per pair
-//!   ([`lane_add_scaled`]).
+//!   scoring is **gather-free**: one ±1-scaled add per pair.
 //! - `blockf`: block sums, the grand totals, the correction term and
 //!   SS_block are permutation-invariant (complete-block exclusion depends
 //!   only on the data); a permutation only reshuffles which treatment each
-//!   cell feeds, so scoring is one lane add per column into k treatment
-//!   lanes.
+//!   cell feeds, so scoring is one sum per treatment over its columns.
 //!
 //! ## Missing values
 //!
 //! NA rows stay on the fast path — without a scalar gather fallback. Missing
-//! cells are stored as `+0.0` in the lanes, which is **bitwise-neutral** in
-//! every running sum (an IEEE accumulator starting at `+0.0` can never
-//! become `-0.0` by adding finite values, and `x + ±0.0` then preserves
-//! `x`'s bits — see `stats::soa`). Only the *counts* need fixing: each dirty
-//! gene keeps a missing-column bitset ([`MissMask`]) that is ANDed with a
-//! per-arrangement selected-column bitset — one popcount per dirty gene, no
-//! per-cell branches. The paired designs need no correction at all: their
-//! exclusions (incomplete pairs/blocks) are permutation-invariant and
+//! cells are stored as `+0.0`, which is **bitwise-neutral** in every running
+//! sum (an IEEE accumulator starting at `+0.0` can never become `-0.0` by
+//! adding finite values, and `x + ±0.0` then preserves `x`'s bits — see
+//! `stats::soa`). Only the *counts* need fixing: each dirty gene keeps a
+//! missing-column bitset ([`MissMask`]) that is ANDed with a per-arrangement
+//! selected-column bitset — one popcount per dirty gene, no per-cell
+//! branches. A block whose genes are all complete skips the popcounts and
+//! finishes branch-free. The paired designs need no correction at all:
+//! their exclusions (incomplete pairs/blocks) are permutation-invariant and
 //! cached. Degenerate arrangements (empty class, too few complete
 //! pairs/blocks, zero variance) hit the same guards as the scalar functions
 //! and yield `NaN`.
@@ -58,18 +57,18 @@
 //! The fast path is constructed so that exceedance *counts* (the integers
 //! the p-values are made of) match the reference scalar scorer:
 //!
-//! - every lane accumulation walks columns in ascending order — the exact
-//!   order the scalar statistic pushes values into its accumulators — and
-//!   zeroed missing cells are bitwise-neutral, so the per-gene `f64` sums
-//!   are **bitwise identical** to the scalar ones, and Wilcoxon, paired t
-//!   and block F are bitwise identical end to end;
+//! - every accumulation walks columns in ascending order — the exact order
+//!   the scalar statistic pushes values into its accumulators — and zeroed
+//!   missing cells are bitwise-neutral, so the per-gene `f64` sums are
+//!   **bitwise identical** to the scalar ones, and Wilcoxon, paired t and
+//!   block F are bitwise identical end to end;
 //! - only the two-sample subtraction S−s₁ / Q−q₁ re-associates a sum, an
 //!   error of a few ulps; the combining formulas mirror the scalar
 //!   operation sequence (same literals, clamps and guards) so the final
 //!   statistic differs by ulps at most;
 //! - per (gene, arrangement) the operation sequence is independent of the
-//!   tile/chunk geometry, so results are bitwise stable across any batch
-//!   shape;
+//!   block, range and batch geometry, so results are bitwise stable across
+//!   any batch shape;
 //! - the maxT count comparisons carry an absolute slack of
 //!   [`crate::maxt::EPSILON`] = 1e-10, orders of magnitude above ulp noise,
 //!   so the counts agree;
@@ -82,9 +81,11 @@
 //! The fast scorers are generic over the accumulation element
 //! ([`Real`]): `f64` is the default and the only mode with the bitwise
 //! guarantees above; `f32` (opt-in via [`Precision::F32`] /
-//! `SPRINT_PRECISION=f32`) halves the cached-tile footprint and doubles
-//! SIMD lane width at a documented relative-error cost (DESIGN.md §4.10).
-//! The scalar reference scorer is always `f64`.
+//! `SPRINT_PRECISION=f32`) halves the cached-tile footprint at a documented
+//! relative-error cost (DESIGN.md §4.10). The scalar reference scorer is
+//! always `f64`.
+
+use std::ops::Range;
 
 use crate::labels::ClassLabels;
 use crate::matrix::Matrix;
@@ -94,66 +95,67 @@ use crate::stats::f_stat::f_from_sums;
 use crate::stats::moments::pivot_of;
 use crate::stats::pair_t::pairt_from_moments;
 use crate::stats::soa::{
-    lane_add, lane_add_scaled, lane_add_sq, push_sel_mask, MissMask, Real, SoaColumns, SOA_TILE,
+    for_each_block, lanes, padded_len, push_sel_mask, GeneBlocks, MissMask, Real, LANE,
 };
 use crate::stats::two_sample::{equalvar_from_moments, welch_from_moments};
 use crate::stats::wilcoxon::wilcoxon_from_counts;
 use crate::stats::StatComputer;
 
 /// Reusable per-thread scratch owned by the caller and shaped by the scorer:
-/// permutation-derived index lists, pair signs, selection bitsets and lane
-/// accumulators live here so the batch loop performs no allocation.
+/// the permutation-derived column lists, pair signs and selection bitsets of
+/// the current batch live here so the batch loop performs no allocation.
 #[derive(Debug, Default, Clone)]
 pub struct ScorerScratch {
-    /// Flattened per-arrangement column-index lists (group-1 lists for the
-    /// two-sample family, class-major lists for F).
+    /// Flattened column lists, one per (arrangement, class) slot.
     idx: Vec<usize>,
-    /// Boundaries into `idx`: `arrangements + 1` entries for the two-sample
-    /// family, `arrangements·k + 1` class-major entries for F.
+    /// Boundaries into `idx`: slot `s` is `idx[offsets[s]..offsets[s + 1]]`.
     offsets: Vec<usize>,
     /// Per-arrangement pair signs (±1.0) for paired t, `vals[j·pairs + p]`.
     vals: Vec<f64>,
-    /// Per-arrangement selected-column bitsets (one per arrangement for the
-    /// two-sample family, class-major for F), only built when the data has
-    /// dirty genes.
+    /// Per-slot selected-column bitsets, only built when the data has dirty
+    /// genes.
     sel: Vec<u64>,
-    /// `f64` lane accumulators (statistic sections × tile width).
-    lanes64: Vec<f64>,
-    /// `f32` lane accumulators for the reduced-precision mode.
-    lanes32: Vec<f32>,
-}
-
-/// Borrow-split view of [`ScorerScratch`]: the per-arrangement structures
-/// stay readable while one precision's lane buffer is written. Public only
-/// because [`crate::stats::soa::Real`] (a public bound of the fast scorers)
-/// returns it; the fields stay crate-private.
-#[doc(hidden)]
-pub struct ScratchParts<'s, R> {
-    pub(crate) idx: &'s [usize],
-    pub(crate) offsets: &'s [usize],
-    pub(crate) signs: &'s [f64],
-    pub(crate) sel: &'s [u64],
-    pub(crate) lanes: &'s mut Vec<R>,
 }
 
 impl ScorerScratch {
-    pub(crate) fn parts_f64(&mut self) -> ScratchParts<'_, f64> {
-        ScratchParts {
-            idx: &self.idx,
-            offsets: &self.offsets,
-            signs: &self.vals,
-            sel: &self.sel,
-            lanes: &mut self.lanes64,
-        }
+    /// The ascending column list of one (arrangement, class) slot.
+    #[inline]
+    fn list(&self, slot: usize) -> &[usize] {
+        &self.idx[self.offsets[slot]..self.offsets[slot + 1]]
     }
 
-    pub(crate) fn parts_f32(&mut self) -> ScratchParts<'_, f32> {
-        ScratchParts {
-            idx: &self.idx,
-            offsets: &self.offsets,
-            signs: &self.vals,
-            sel: &self.sel,
-            lanes: &mut self.lanes32,
+    /// The selected-column bitset of one slot (`words` words each).
+    #[inline]
+    fn sel(&self, slot: usize, words: usize) -> &[u64] {
+        &self.sel[slot * words..(slot + 1) * words]
+    }
+
+    /// Collect, per arrangement, the ascending column list of every class in
+    /// `classes` — slot `j·classes.len() + (c − classes.start)` — plus the
+    /// matching selected-column bitsets when `miss` names dirty data. The
+    /// once-per-batch O(n) step shared by every gather scorer.
+    fn class_lists(
+        &mut self,
+        labels_bufs: &[Vec<u8>],
+        classes: Range<usize>,
+        miss: Option<&MissMask>,
+    ) {
+        self.idx.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.sel.clear();
+        for labels in labels_bufs {
+            for c in classes.clone() {
+                for (col, &l) in labels.iter().enumerate() {
+                    if l as usize == c {
+                        self.idx.push(col);
+                    }
+                }
+                self.offsets.push(self.idx.len());
+                if let Some(miss) = miss {
+                    push_sel_mask(&mut self.sel, miss.words(), labels, c as u8);
+                }
+            }
         }
     }
 }
@@ -172,26 +174,23 @@ pub trait Scorer: std::fmt::Debug + Send + Sync {
         ScorerScratch::default()
     }
 
-    /// Pre-size the lane accumulators for tiles up to `max_tile` genes, so
-    /// the first `score_tile` call performs no allocation. Optional — the
-    /// tiles size themselves on demand.
-    fn warm_scratch(&self, _scratch: &mut ScorerScratch, _max_tile: usize) {}
-
     /// Derive the per-arrangement structures for a batch of label buffers.
     /// Must be called before [`Scorer::score_tile`] whenever the batch
     /// changes; the derivations live in `scratch`.
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch);
 
     /// Score the genes in `genes` for **every** arrangement of the current
-    /// batch, writing raw statistics gene-major into `out[g·stride + j]`
-    /// for arrangement `j`. Per (gene, arrangement) the operation sequence
-    /// is batch-size-invariant, so results are bitwise identical across any
-    /// batch/tile geometry.
+    /// batch, writing raw statistics gene-major and relative to the range:
+    /// gene `g` under arrangement `j` lands at
+    /// `out[(g − genes.start)·stride + j]`. The range may start and end
+    /// anywhere. Per (gene, arrangement) the operation sequence is
+    /// independent of the range and batch geometry, so results are bitwise
+    /// identical across any split.
     fn score_tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
-        scratch: &mut ScorerScratch,
+        genes: Range<usize>,
+        scratch: &ScorerScratch,
         out: &mut [f64],
         stride: usize,
     );
@@ -267,23 +266,6 @@ fn note_scorer_path(method: TestMethod, path: &'static str) {
     }
 }
 
-/// Collect the group-1 column lists of each arrangement into
-/// `scratch.idx`/`scratch.offsets`, ascending — the once-per-batch O(n)
-/// step shared by the two-sample family.
-fn group1_lists(labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
-    scratch.idx.clear();
-    scratch.offsets.clear();
-    scratch.offsets.push(0);
-    for labels in labels_bufs {
-        for (j, &l) in labels.iter().enumerate() {
-            if l == 1 {
-                scratch.idx.push(j);
-            }
-        }
-        scratch.offsets.push(scratch.idx.len());
-    }
-}
-
 /// The reference scalar scorer: one full O(n) per-column sweep per (gene,
 /// arrangement) through [`StatComputer::compute`]. Always correct, never
 /// fast — kept as the equivalence oracle behind `SPRINT_KERNEL=scalar`.
@@ -310,17 +292,17 @@ impl Scorer for ScalarScorer<'_> {
     fn score_tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
-        _scratch: &mut ScorerScratch,
+        genes: Range<usize>,
+        _scratch: &ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
         debug_assert!(labels_bufs.len() <= stride);
-        for g in genes {
-            let row = self.data.row(g);
-            let slots = &mut out[g * stride..g * stride + labels_bufs.len()];
+        for (row, g) in genes.enumerate() {
+            let data = self.data.row(g);
+            let slots = &mut out[row * stride..row * stride + labels_bufs.len()];
             for (slot, labels) in slots.iter_mut().zip(labels_bufs) {
-                *slot = self.computer.compute(row, labels);
+                *slot = self.computer.compute(data, labels);
             }
         }
     }
@@ -332,27 +314,132 @@ impl Scorer for ScalarScorer<'_> {
     }
 }
 
-/// Fast scorer for `t` (Welch) and `t.equalvar`: pivot-shifted values in
-/// column-major lanes with per-gene totals S, Q; each arrangement needs one
-/// fused sum/square-sum lane accumulation over its group-1 columns.
+/// Missing-cell bookkeeping of the scorers whose group counts depend on the
+/// arrangement (two-sample, Wilcoxon, F, corr). Per-gene vectors are padded
+/// to whole blocks; padding genes count as complete.
 #[derive(Debug)]
-pub struct TwoSampleScorer<R: Real> {
-    welch: bool,
+struct Presence {
+    /// Cells per row.
     cols: usize,
-    /// Pivot-shifted values, column-major; missing cells hold `+0.0`.
-    vals: SoaColumns<R>,
-    /// Per gene: S = Σ shifted non-missing values (ascending column order).
-    total_sum: Vec<R>,
-    /// Per gene: Q = Σ shifted² non-missing values.
-    total_sumsq: Vec<R>,
     /// Per gene: non-missing cell count.
     row_n: Vec<usize>,
     /// Per gene: no missing cells (skips the popcount correction).
     clean: Vec<bool>,
-    /// Any gene dirty (enables the per-arrangement selection bitsets).
-    any_dirty: bool,
+    /// Per block: every gene clean — the branch-free finishing path.
+    clean_block: Vec<bool>,
     /// Per-gene missing-column bitsets.
     miss: MissMask,
+    /// Any gene dirty (enables the per-arrangement selection bitsets).
+    any_dirty: bool,
+}
+
+impl Presence {
+    /// Empty bookkeeping for `genes` rows of `cols` cells; fill it with
+    /// [`Presence::mark`] and [`Presence::push_row`], then [`Presence::seal`].
+    fn new(genes: usize, cols: usize) -> Self {
+        Presence {
+            cols,
+            row_n: Vec::with_capacity(padded_len(genes)),
+            clean: Vec::with_capacity(padded_len(genes)),
+            clean_block: Vec::new(),
+            miss: MissMask::new(padded_len(genes), cols),
+            any_dirty: false,
+        }
+    }
+
+    /// Mark cell (`gene`, `col`) missing.
+    fn mark(&mut self, gene: usize, col: usize) {
+        self.miss.set(gene, col);
+    }
+
+    /// Close the next row with its non-missing count `n`.
+    fn push_row(&mut self, n: usize) {
+        self.row_n.push(n);
+        self.clean.push(n == self.cols);
+    }
+
+    /// Pad to whole blocks and derive the per-block flags.
+    fn seal(mut self) -> Self {
+        let padded = padded_len(self.row_n.len());
+        self.row_n.resize(padded, self.cols);
+        self.clean.resize(padded, true);
+        self.clean_block = self
+            .clean
+            .chunks(LANE)
+            .map(|c| c.iter().all(|&x| x))
+            .collect();
+        self.any_dirty = self.clean.iter().any(|&c| !c);
+        self
+    }
+
+    /// The selected-column bitset of a slot, empty when the data is clean.
+    #[inline]
+    fn sel<'s>(&self, scratch: &'s ScorerScratch, slot: usize) -> &'s [u64] {
+        if self.any_dirty {
+            scratch.sel(slot, self.miss.words())
+        } else {
+            &[]
+        }
+    }
+
+    /// How many of `selected` columns (bitset `sel`) are present for `gene`.
+    #[inline]
+    fn present(&self, gene: usize, selected: usize, sel: &[u64]) -> usize {
+        if self.clean[gene] {
+            selected
+        } else {
+            selected - MissMask::overlap(sel, self.miss.gene(gene))
+        }
+    }
+
+    /// The dirty-data mask for [`ScorerScratch::class_lists`].
+    fn lists_miss(&self) -> Option<&MissMask> {
+        self.any_dirty.then_some(&self.miss)
+    }
+}
+
+/// Σ over `cols` of the block's lanes, and of their squares, in ascending
+/// column order — the fused moment gather of the two-sample and F scorers.
+#[inline]
+fn sum_sq<R: Real>(block: &[[R; LANE]], cols: &[usize]) -> ([R; LANE], [R; LANE]) {
+    let mut s = [R::ZERO; LANE];
+    let mut q = [R::ZERO; LANE];
+    for &c in cols {
+        let v = &block[c];
+        for i in 0..LANE {
+            s[i] += v[i];
+            q[i] += v[i] * v[i];
+        }
+    }
+    (s, q)
+}
+
+/// Σ over `cols` of the block's lanes, in ascending column order.
+#[inline]
+fn sum<R: Real>(block: &[[R; LANE]], cols: &[usize]) -> [R; LANE] {
+    let mut s = [R::ZERO; LANE];
+    for &c in cols {
+        let v = &block[c];
+        for i in 0..LANE {
+            s[i] += v[i];
+        }
+    }
+    s
+}
+
+/// Fast scorer for `t` (Welch) and `t.equalvar`: pivot-shifted values in
+/// gene blocks with per-gene totals S, Q; each arrangement needs one fused
+/// sum/square-sum accumulation over its group-1 columns.
+#[derive(Debug)]
+pub struct TwoSampleScorer<R: Real> {
+    welch: bool,
+    /// Pivot-shifted values; missing cells hold `+0.0`.
+    vals: GeneBlocks<R>,
+    /// Per gene: S = Σ shifted non-missing values (ascending column order).
+    total_sum: Vec<R>,
+    /// Per gene: Q = Σ shifted² non-missing values.
+    total_sumsq: Vec<R>,
+    na: Presence,
 }
 
 impl<R: Real> TwoSampleScorer<R> {
@@ -360,12 +447,10 @@ impl<R: Real> TwoSampleScorer<R> {
     pub fn new(data: &Matrix, welch: bool) -> Self {
         let cols = data.cols();
         let rows = data.rows();
-        let mut vals = SoaColumns::new(rows, cols);
-        let mut total_sum = Vec::with_capacity(rows);
-        let mut total_sumsq = Vec::with_capacity(rows);
-        let mut row_n = Vec::with_capacity(rows);
-        let mut clean = Vec::with_capacity(rows);
-        let mut miss = MissMask::new(rows, cols);
+        let mut vals = GeneBlocks::new(rows, cols);
+        let mut total_sum = Vec::with_capacity(padded_len(rows));
+        let mut total_sumsq = Vec::with_capacity(padded_len(rows));
+        let mut na = Presence::new(rows, cols);
         for g in 0..rows {
             let row = data.row(g);
             let pivot = pivot_of(row);
@@ -374,7 +459,7 @@ impl<R: Real> TwoSampleScorer<R> {
             let mut n = 0usize;
             for (c, &v) in row.iter().enumerate() {
                 if v.is_nan() {
-                    miss.set(g, c); // cell stays +0.0 in the lane
+                    na.mark(g, c); // cell stays +0.0 in the block
                 } else {
                     let x = R::from_f64(v - pivot);
                     vals.set(c, g, x);
@@ -385,20 +470,26 @@ impl<R: Real> TwoSampleScorer<R> {
             }
             total_sum.push(s);
             total_sumsq.push(q);
-            row_n.push(n);
-            clean.push(n == cols);
+            na.push_row(n);
         }
-        let any_dirty = clean.iter().any(|&c| !c);
+        total_sum.resize(padded_len(rows), R::ZERO);
+        total_sumsq.resize(padded_len(rows), R::ZERO);
         TwoSampleScorer {
             welch,
-            cols,
             vals,
             total_sum,
             total_sumsq,
-            row_n,
-            clean,
-            any_dirty,
-            miss,
+            na: na.seal(),
+        }
+    }
+
+    /// The statistic from the group moments.
+    #[inline]
+    fn combine(&self, n0: R, s0: R, q0: R, n1: R, s1: R, q1: R) -> f64 {
+        if self.welch {
+            welch_from_moments(n0, s0, q0, n1, s1, q1).to_f64()
+        } else {
+            equalvar_from_moments(n0, s0, q0, n1, s1, q1).to_f64()
         }
     }
 }
@@ -412,101 +503,83 @@ impl<R: Real> Scorer for TwoSampleScorer<R> {
         }
     }
 
-    fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
-        R::parts(scratch)
-            .lanes
-            .resize(2 * max_tile.min(SOA_TILE), R::ZERO);
-    }
-
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
-        group1_lists(labels_bufs, scratch);
-        scratch.sel.clear();
-        if self.any_dirty {
-            for labels in labels_bufs {
-                push_sel_mask(&mut scratch.sel, self.miss.words(), labels, 1);
-            }
-        }
+        scratch.class_lists(labels_bufs, 1..2, self.na.lists_miss());
     }
 
     fn score_tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
-        scratch: &mut ScorerScratch,
+        genes: Range<usize>,
+        scratch: &ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
         debug_assert!(labels_bufs.len() <= stride);
-        let parts = R::parts(scratch);
-        let words = self.miss.words();
-        let mut start = genes.start;
-        while start < genes.end {
-            let chunk = start..(start + SOA_TILE).min(genes.end);
-            let width = chunk.len();
-            parts.lanes.resize(2 * width, R::ZERO);
-            let (s1l, q1l) = parts.lanes.split_at_mut(width);
-            for j in 0..labels_bufs.len() {
-                let idx = &parts.idx[parts.offsets[j]..parts.offsets[j + 1]];
-                s1l.fill(R::ZERO);
-                q1l.fill(R::ZERO);
-                // Group-1 columns ascending (the scalar push order), genes
-                // inner: the autovectorized hot loop.
-                for &jc in idx {
-                    lane_add_sq(s1l, q1l, self.vals.col(jc, &chunk));
+        let na = &self.na;
+        for_each_block(genes, labels_bufs.len(), out, stride, |b, j, stats| {
+            let idx = scratch.list(j);
+            // Group-1 columns ascending (the scalar push order), the block's
+            // genes at once in register accumulators.
+            let (s1, q1) = sum_sq(self.vals.block(b), idx);
+            let s = lanes(&self.total_sum, b);
+            let q = lanes(&self.total_sumsq, b);
+            if na.clean_block[b] {
+                // Group sizes are arrangement-invariant for the block: one
+                // guard, then a branch-free finish.
+                let (n1, n0) = (idx.len(), na.cols - idx.len());
+                if n0 < 2 || n1 < 2 {
+                    stats.fill(f64::NAN);
+                    return;
                 }
-                let sel: &[u64] = if self.any_dirty {
-                    &parts.sel[j * words..(j + 1) * words]
-                } else {
-                    &[]
-                };
-                for (lane, g) in chunk.clone().enumerate() {
-                    let slot = &mut out[g * stride + j];
-                    let (n1, n0) = if self.clean[g] {
-                        (idx.len(), self.cols - idx.len())
-                    } else {
-                        let n1 = idx.len() - MissMask::overlap(sel, self.miss.gene(g));
-                        (n1, self.row_n[g] - n1)
-                    };
-                    // Mirrors the scalar guard `g0.n < 2 || g1.n < 2` on the
-                    // post-NA-exclusion counts.
-                    if n0 < 2 || n1 < 2 {
-                        *slot = f64::NAN;
-                        continue;
+                let (n0, n1) = (R::from_usize(n0), R::from_usize(n1));
+                if self.welch {
+                    for i in 0..LANE {
+                        stats[i] =
+                            welch_from_moments(n0, s[i] - s1[i], q[i] - q1[i], n1, s1[i], q1[i])
+                                .to_f64();
                     }
-                    let s1 = s1l[lane];
-                    let q1 = q1l[lane];
-                    let s0 = self.total_sum[g] - s1;
-                    let q0 = self.total_sumsq[g] - q1;
-                    *slot = if self.welch {
-                        welch_from_moments(R::from_usize(n0), s0, q0, R::from_usize(n1), s1, q1)
-                            .to_f64()
-                    } else {
-                        equalvar_from_moments(R::from_usize(n0), s0, q0, R::from_usize(n1), s1, q1)
-                            .to_f64()
-                    };
+                } else {
+                    for i in 0..LANE {
+                        stats[i] =
+                            equalvar_from_moments(n0, s[i] - s1[i], q[i] - q1[i], n1, s1[i], q1[i])
+                                .to_f64();
+                    }
                 }
+                return;
             }
-            start = chunk.end;
-        }
+            let sel = na.sel(scratch, j);
+            for i in 0..LANE {
+                let g = b * LANE + i;
+                let n1 = na.present(g, idx.len(), sel);
+                let n0 = na.row_n[g] - n1;
+                // Mirrors the scalar guard `g0.n < 2 || g1.n < 2` on the
+                // post-NA-exclusion counts.
+                stats[i] = if n0 < 2 || n1 < 2 {
+                    f64::NAN
+                } else {
+                    self.combine(
+                        R::from_usize(n0),
+                        s[i] - s1[i],
+                        q[i] - q1[i],
+                        R::from_usize(n1),
+                        s1[i],
+                        q1[i],
+                    )
+                };
+            }
+        });
     }
 }
 
-/// Fast scorer for `wilcoxon`: lanes hold cached midranks, the group-1 lane
-/// sum is the rank sum W, and the statistic is a pure function of W and the
+/// Fast scorer for `wilcoxon`: lanes hold cached midranks, the group-1 sum
+/// is the rank sum W, and the statistic is a pure function of W and the
 /// group sizes — bitwise identical to the scalar path end to end.
 #[derive(Debug)]
 pub struct WilcoxonScorer<R: Real> {
-    cols: usize,
-    /// Midranks, column-major; missing cells hold `+0.0`.
-    vals: SoaColumns<R>,
-    /// Per gene: non-missing cell count.
-    row_n: Vec<usize>,
-    /// Per gene: no missing cells.
-    clean: Vec<bool>,
-    /// Any gene dirty.
-    any_dirty: bool,
-    /// Per-gene missing-column bitsets.
-    miss: MissMask,
+    /// Midranks; missing cells hold `+0.0`.
+    vals: GeneBlocks<R>,
+    na: Presence,
 }
 
 impl<R: Real> WilcoxonScorer<R> {
@@ -514,32 +587,24 @@ impl<R: Real> WilcoxonScorer<R> {
     pub fn new(data: &Matrix) -> Self {
         let cols = data.cols();
         let rows = data.rows();
-        let mut vals = SoaColumns::new(rows, cols);
-        let mut row_n = Vec::with_capacity(rows);
-        let mut clean = Vec::with_capacity(rows);
-        let mut miss = MissMask::new(rows, cols);
+        let mut vals = GeneBlocks::new(rows, cols);
+        let mut na = Presence::new(rows, cols);
         for g in 0..rows {
             let row = data.row(g);
             let mut n = 0usize;
             for (c, &v) in row.iter().enumerate() {
                 if v.is_nan() {
-                    miss.set(g, c);
+                    na.mark(g, c);
                 } else {
                     vals.set(c, g, R::from_f64(v));
                     n += 1;
                 }
             }
-            row_n.push(n);
-            clean.push(n == cols);
+            na.push_row(n);
         }
-        let any_dirty = clean.iter().any(|&c| !c);
         WilcoxonScorer {
-            cols,
             vals,
-            row_n,
-            clean,
-            any_dirty,
-            miss,
+            na: na.seal(),
         }
     }
 }
@@ -553,91 +618,63 @@ impl<R: Real> Scorer for WilcoxonScorer<R> {
         }
     }
 
-    fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
-        R::parts(scratch)
-            .lanes
-            .resize(max_tile.min(SOA_TILE), R::ZERO);
-    }
-
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
-        group1_lists(labels_bufs, scratch);
-        scratch.sel.clear();
-        if self.any_dirty {
-            for labels in labels_bufs {
-                push_sel_mask(&mut scratch.sel, self.miss.words(), labels, 1);
-            }
-        }
+        scratch.class_lists(labels_bufs, 1..2, self.na.lists_miss());
     }
 
     fn score_tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
-        scratch: &mut ScorerScratch,
+        genes: Range<usize>,
+        scratch: &ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
         debug_assert!(labels_bufs.len() <= stride);
-        let parts = R::parts(scratch);
-        let words = self.miss.words();
-        let mut start = genes.start;
-        while start < genes.end {
-            let chunk = start..(start + SOA_TILE).min(genes.end);
-            let width = chunk.len();
-            parts.lanes.resize(width, R::ZERO);
-            let wl = &mut parts.lanes[..width];
-            for j in 0..labels_bufs.len() {
-                let idx = &parts.idx[parts.offsets[j]..parts.offsets[j + 1]];
-                wl.fill(R::ZERO);
-                for &jc in idx {
-                    lane_add(wl, self.vals.col(jc, &chunk));
+        let na = &self.na;
+        for_each_block(genes, labels_bufs.len(), out, stride, |b, j, stats| {
+            let idx = scratch.list(j);
+            let w = sum(self.vals.block(b), idx);
+            if na.clean_block[b] {
+                let (n1, n0) = (idx.len(), na.cols - idx.len());
+                if n0 == 0 || n1 == 0 {
+                    stats.fill(f64::NAN);
+                    return;
                 }
-                let sel: &[u64] = if self.any_dirty {
-                    &parts.sel[j * words..(j + 1) * words]
-                } else {
-                    &[]
-                };
-                for (lane, g) in chunk.clone().enumerate() {
-                    let slot = &mut out[g * stride + j];
-                    let (n1, n0) = if self.clean[g] {
-                        (idx.len(), self.cols - idx.len())
-                    } else {
-                        let n1 = idx.len() - MissMask::overlap(sel, self.miss.gene(g));
-                        (n1, self.row_n[g] - n1)
-                    };
-                    *slot = if n0 == 0 || n1 == 0 {
-                        f64::NAN
-                    } else {
-                        wilcoxon_from_counts(n0, n1, wl[lane]).to_f64()
-                    };
+                for i in 0..LANE {
+                    stats[i] = wilcoxon_from_counts(n0, n1, w[i]).to_f64();
                 }
+                return;
             }
-            start = chunk.end;
-        }
+            let sel = na.sel(scratch, j);
+            for i in 0..LANE {
+                let g = b * LANE + i;
+                let n1 = na.present(g, idx.len(), sel);
+                let n0 = na.row_n[g] - n1;
+                stats[i] = if n0 == 0 || n1 == 0 {
+                    f64::NAN
+                } else {
+                    wilcoxon_from_counts(n0, n1, w[i]).to_f64()
+                };
+            }
+        });
     }
 }
 
-/// Fast scorer for the one-way `f` statistic over k classes: per-class lane
-/// sums (s_c, q_c) from pivot-shifted lanes reproduce the scalar
-/// between/within decomposition bitwise; the grand mean is
-/// permutation-invariant and cached.
+/// Fast scorer for the one-way `f` statistic over k classes: per-class sums
+/// (s_c, q_c) from pivot-shifted lanes reproduce the scalar between/within
+/// decomposition bitwise; the grand mean is permutation-invariant and
+/// cached.
 #[derive(Debug)]
 pub struct FScorer<R: Real> {
     k: usize,
-    /// Pivot-shifted values, column-major; missing cells hold `+0.0`.
-    vals: SoaColumns<R>,
+    /// Pivot-shifted values; missing cells hold `+0.0`.
+    vals: GeneBlocks<R>,
     /// Per gene: grand mean S/n of the non-missing values
     /// (permutation-invariant; garbage when `row_n == 0`, guarded by
     /// `n <= k`).
     grand_mean: Vec<R>,
-    /// Per gene: non-missing cell count.
-    row_n: Vec<usize>,
-    /// Per gene: no missing cells.
-    clean: Vec<bool>,
-    /// Any gene dirty.
-    any_dirty: bool,
-    /// Per-gene missing-column bitsets.
-    miss: MissMask,
+    na: Presence,
 }
 
 impl<R: Real> FScorer<R> {
@@ -645,11 +682,9 @@ impl<R: Real> FScorer<R> {
     pub fn new(data: &Matrix, k: usize) -> Self {
         let cols = data.cols();
         let rows = data.rows();
-        let mut vals = SoaColumns::new(rows, cols);
-        let mut grand_mean = Vec::with_capacity(rows);
-        let mut row_n = Vec::with_capacity(rows);
-        let mut clean = Vec::with_capacity(rows);
-        let mut miss = MissMask::new(rows, cols);
+        let mut vals = GeneBlocks::new(rows, cols);
+        let mut grand_mean = Vec::with_capacity(padded_len(rows));
+        let mut na = Presence::new(rows, cols);
         for g in 0..rows {
             let row = data.row(g);
             let pivot = pivot_of(row);
@@ -657,7 +692,7 @@ impl<R: Real> FScorer<R> {
             let mut n = 0usize;
             for (c, &v) in row.iter().enumerate() {
                 if v.is_nan() {
-                    miss.set(g, c);
+                    na.mark(g, c);
                 } else {
                     let x = R::from_f64(v - pivot);
                     vals.set(c, g, x);
@@ -666,18 +701,14 @@ impl<R: Real> FScorer<R> {
                 }
             }
             grand_mean.push(s / R::from_usize(n));
-            row_n.push(n);
-            clean.push(n == cols);
+            na.push_row(n);
         }
-        let any_dirty = clean.iter().any(|&c| !c);
+        grand_mean.resize(padded_len(rows), R::ZERO);
         FScorer {
             k,
             vals,
             grand_mean,
-            row_n,
-            clean,
-            any_dirty,
-            miss,
+            na: na.seal(),
         }
     }
 }
@@ -691,165 +722,111 @@ impl<R: Real> Scorer for FScorer<R> {
         }
     }
 
-    fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
-        R::parts(scratch)
-            .lanes
-            .resize(4 * max_tile.min(SOA_TILE), R::ZERO);
-    }
-
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
-        // Class-major column lists: for arrangement j and class c the list is
-        // `idx[offsets[j·k + c]..offsets[j·k + c + 1]]`, ascending — the
-        // order the scalar path pushes class-c values.
-        scratch.idx.clear();
-        scratch.offsets.clear();
-        scratch.offsets.push(0);
-        scratch.sel.clear();
-        for labels in labels_bufs {
-            for c in 0..self.k {
-                for (j, &l) in labels.iter().enumerate() {
-                    if l as usize == c {
-                        scratch.idx.push(j);
-                    }
-                }
-                scratch.offsets.push(scratch.idx.len());
-                if self.any_dirty {
-                    push_sel_mask(&mut scratch.sel, self.miss.words(), labels, c as u8);
-                }
-            }
-        }
+        // Class-major column lists: slot j·k + c, ascending — the order the
+        // scalar path pushes class-c values.
+        scratch.class_lists(labels_bufs, 0..self.k, self.na.lists_miss());
     }
 
     fn score_tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
-        scratch: &mut ScorerScratch,
+        genes: Range<usize>,
+        scratch: &ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
         debug_assert!(labels_bufs.len() <= stride);
         let k = self.k;
-        let parts = R::parts(scratch);
-        let words = self.miss.words();
+        let na = &self.na;
+        if labels_bufs.is_empty() {
+            return;
+        }
         // Class sizes are permutation-invariant, so arrangement 0 tells all:
-        // an empty class plants NaN markers in every lane of every tile and
-        // the branch-free output sweep must stand down.
-        let has_empty_class = (0..k).any(|c| parts.offsets[c + 1] == parts.offsets[c]);
-        let mut start = genes.start;
-        while start < genes.end {
-            let chunk = start..(start + SOA_TILE).min(genes.end);
-            let width = chunk.len();
-            // A fully clean sub-tile runs the branch-free lane loops below:
-            // per-class counts are then tile-uniform (permutations preserve
-            // class sizes), so the finalization sweeps autovectorize. The
-            // arithmetic sequence per lane is the same either way — the
-            // split is a control-flow specialization, not a formula change.
-            let all_clean = !self.any_dirty || self.clean[chunk.clone()].iter().all(|&c| c);
-            let gm = &self.grand_mean[chunk.clone()];
-            parts.lanes.resize(4 * width, R::ZERO);
-            let (scl, rest) = parts.lanes.split_at_mut(width);
-            let (qcl, rest) = rest.split_at_mut(width);
-            let (ssb, ssw) = rest.split_at_mut(width);
-            for j in 0..labels_bufs.len() {
-                ssb.fill(R::ZERO);
-                ssw.fill(R::ZERO);
-                // Classes in ascending order (the scalar combine order);
-                // within a class, columns ascending (the scalar push order).
-                for c in 0..k {
-                    let cls = &parts.idx[parts.offsets[j * k + c]..parts.offsets[j * k + c + 1]];
-                    scl.fill(R::ZERO);
-                    qcl.fill(R::ZERO);
-                    for &jc in cls {
-                        lane_add_sq(scl, qcl, self.vals.col(jc, &chunk));
-                    }
-                    if all_clean && !cls.is_empty() {
-                        let ncf = R::from_usize(cls.len());
-                        // Scalar sequence: d = mean − grand_mean,
-                        // SSB += n·d², SSW += (q − s²/n).max(0).
-                        for lane in 0..width {
-                            let d = scl[lane] / ncf - gm[lane];
-                            ssb[lane] += ncf * d * d;
-                            ssw[lane] += (qcl[lane] - scl[lane] * scl[lane] / ncf).max(R::ZERO);
-                        }
-                        continue;
-                    }
-                    let sel: &[u64] = if self.any_dirty {
-                        &parts.sel[(j * k + c) * words..(j * k + c + 1) * words]
-                    } else {
-                        &[]
-                    };
-                    for (lane, g) in chunk.clone().enumerate() {
-                        let nc = if self.clean[g] {
-                            cls.len()
-                        } else {
-                            cls.len() - MissMask::overlap(sel, self.miss.gene(g))
-                        };
-                        if nc == 0 {
-                            // Empty class ⇒ NaN; the marker survives later
-                            // classes because NaN + x = NaN.
-                            ssw[lane] = R::nan();
-                            continue;
-                        }
-                        let ncf = R::from_usize(nc);
-                        // Scalar sequence: d = mean − grand_mean, SSB += n·d²,
-                        // SSW += (q − s²/n).max(0).
-                        let d = scl[lane] / ncf - self.grand_mean[g];
-                        ssb[lane] += ncf * d * d;
-                        ssw[lane] += (qcl[lane] - scl[lane] * scl[lane] / ncf).max(R::ZERO);
-                    }
-                }
-                if all_clean && !has_empty_class && self.row_n[chunk.start] > k {
-                    // Clean tile: n is tile-uniform, no NaN markers can have
-                    // been set (class sizes are permutation-invariant and
-                    // non-zero), so the output sweep is branch-free too.
-                    let n = self.row_n[chunk.start];
-                    for (lane, g) in chunk.clone().enumerate() {
-                        out[g * stride + j] = f_from_sums(k, n, ssb[lane], ssw[lane]).to_f64();
+        // an empty class plants NaN markers in every lane and the
+        // branch-free output sweep must stand down.
+        let has_empty_class = (0..k).any(|c| scratch.list(c).is_empty());
+        for_each_block(genes, labels_bufs.len(), out, stride, |b, j, stats| {
+            let block = self.vals.block(b);
+            let gm = lanes(&self.grand_mean, b);
+            // A clean block runs branch-free: per-class counts are then
+            // block-uniform. The arithmetic sequence per lane is the same
+            // either way — the split is a control-flow specialization, not
+            // a formula change.
+            let clean = na.clean_block[b];
+            let mut ssb = [R::ZERO; LANE];
+            let mut ssw = [R::ZERO; LANE];
+            // Classes in ascending order (the scalar combine order); within
+            // a class, columns ascending (the scalar push order).
+            for c in 0..k {
+                let cls = scratch.list(j * k + c);
+                let (sc, qc) = sum_sq(block, cls);
+                if clean && !cls.is_empty() {
+                    let ncf = R::from_usize(cls.len());
+                    // Scalar sequence: d = mean − grand_mean,
+                    // SSB += n·d², SSW += (q − s²/n).max(0).
+                    for i in 0..LANE {
+                        let d = sc[i] / ncf - gm[i];
+                        ssb[i] += ncf * d * d;
+                        ssw[i] += (qc[i] - sc[i] * sc[i] / ncf).max(R::ZERO);
                     }
                     continue;
                 }
-                for (lane, g) in chunk.clone().enumerate() {
-                    let n = self.row_n[g];
-                    // Mirrors the scalar `n <= k` degrees-of-freedom guard;
-                    // the non-missing count is permutation-invariant.
-                    out[g * stride + j] = if n <= k || ssw[lane].is_nan() {
-                        f64::NAN
-                    } else {
-                        f_from_sums(k, n, ssb[lane], ssw[lane]).to_f64()
-                    };
+                let sel = na.sel(scratch, j * k + c);
+                for i in 0..LANE {
+                    let nc = na.present(b * LANE + i, cls.len(), sel);
+                    if nc == 0 {
+                        // Empty class ⇒ NaN; the marker survives later
+                        // classes because NaN + x = NaN.
+                        ssw[i] = R::nan();
+                        continue;
+                    }
+                    let ncf = R::from_usize(nc);
+                    let d = sc[i] / ncf - gm[i];
+                    ssb[i] += ncf * d * d;
+                    ssw[i] += (qc[i] - sc[i] * sc[i] / ncf).max(R::ZERO);
                 }
             }
-            start = chunk.end;
-        }
+            if clean && !has_empty_class && na.cols > k {
+                // Clean block: n is block-uniform and no NaN marker can have
+                // been set, so the output sweep is branch-free too.
+                for i in 0..LANE {
+                    stats[i] = f_from_sums(k, na.cols, ssb[i], ssw[i]).to_f64();
+                }
+                return;
+            }
+            for i in 0..LANE {
+                let n = na.row_n[b * LANE + i];
+                // Mirrors the scalar `n <= k` degrees-of-freedom guard; the
+                // non-missing count is permutation-invariant.
+                stats[i] = if n <= k || ssw[i].is_nan() {
+                    f64::NAN
+                } else {
+                    f_from_sums(k, n, ssb[i], ssw[i]).to_f64()
+                };
+            }
+        });
     }
 }
 
 /// Fast scorer for `corr` (Pearson correlation of each gene row against the
 /// numeric class codes): the x-side moments Σx, Σx² and the non-missing
 /// count are permutation-invariant and cached; an arrangement only re-pairs
-/// the y codes, so scoring needs one lane sum per class (Σ_c c·s_c gives
-/// Σxy) plus, for clean tiles, two *scalar* class-size accumulators for the
+/// the y codes, so scoring needs one sum per class (Σ_c c·s_c gives Σxy)
+/// plus, for clean blocks, two *scalar* class-size accumulators for the
 /// y-side moments (class sizes are permutation-invariant). Dirty genes fix
 /// the y moments with the same MissMask popcounts as the other scorers.
 #[derive(Debug)]
 pub struct CorrScorer<R: Real> {
     k: usize,
-    /// Raw values, column-major; missing cells hold `+0.0` (bitwise-neutral
-    /// in the lane sums feeding Σxy).
-    vals: SoaColumns<R>,
+    /// Raw values; missing cells hold `+0.0` (bitwise-neutral in the sums
+    /// feeding Σxy).
+    vals: GeneBlocks<R>,
     /// Per gene: Σx over non-missing values (ascending column order).
     total_sum: Vec<R>,
     /// Per gene: Σx² over non-missing values.
     total_sumsq: Vec<R>,
-    /// Per gene: non-missing cell count.
-    row_n: Vec<usize>,
-    /// Per gene: no missing cells.
-    clean: Vec<bool>,
-    /// Any gene dirty.
-    any_dirty: bool,
-    /// Per-gene missing-column bitsets.
-    miss: MissMask,
+    na: Presence,
 }
 
 impl<R: Real> CorrScorer<R> {
@@ -857,12 +834,10 @@ impl<R: Real> CorrScorer<R> {
     pub fn new(data: &Matrix, k: usize) -> Self {
         let cols = data.cols();
         let rows = data.rows();
-        let mut vals = SoaColumns::new(rows, cols);
-        let mut total_sum = Vec::with_capacity(rows);
-        let mut total_sumsq = Vec::with_capacity(rows);
-        let mut row_n = Vec::with_capacity(rows);
-        let mut clean = Vec::with_capacity(rows);
-        let mut miss = MissMask::new(rows, cols);
+        let mut vals = GeneBlocks::new(rows, cols);
+        let mut total_sum = Vec::with_capacity(padded_len(rows));
+        let mut total_sumsq = Vec::with_capacity(padded_len(rows));
+        let mut na = Presence::new(rows, cols);
         for g in 0..rows {
             let row = data.row(g);
             let mut s = R::ZERO;
@@ -870,7 +845,7 @@ impl<R: Real> CorrScorer<R> {
             let mut n = 0usize;
             for (c, &v) in row.iter().enumerate() {
                 if v.is_nan() {
-                    miss.set(g, c);
+                    na.mark(g, c);
                 } else {
                     let x = R::from_f64(v);
                     vals.set(c, g, x);
@@ -881,19 +856,16 @@ impl<R: Real> CorrScorer<R> {
             }
             total_sum.push(s);
             total_sumsq.push(q);
-            row_n.push(n);
-            clean.push(n == cols);
+            na.push_row(n);
         }
-        let any_dirty = clean.iter().any(|&c| !c);
+        total_sum.resize(padded_len(rows), R::ZERO);
+        total_sumsq.resize(padded_len(rows), R::ZERO);
         CorrScorer {
             k,
             vals,
             total_sum,
             total_sumsq,
-            row_n,
-            clean,
-            any_dirty,
-            miss,
+            na: na.seal(),
         }
     }
 }
@@ -907,133 +879,92 @@ impl<R: Real> Scorer for CorrScorer<R> {
         }
     }
 
-    fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
-        R::parts(scratch)
-            .lanes
-            .resize(4 * max_tile.min(SOA_TILE), R::ZERO);
-    }
-
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
         // Class-major column lists exactly as FScorer builds them.
-        scratch.idx.clear();
-        scratch.offsets.clear();
-        scratch.offsets.push(0);
-        scratch.sel.clear();
-        for labels in labels_bufs {
-            for c in 0..self.k {
-                for (j, &l) in labels.iter().enumerate() {
-                    if l as usize == c {
-                        scratch.idx.push(j);
-                    }
-                }
-                scratch.offsets.push(scratch.idx.len());
-                if self.any_dirty {
-                    push_sel_mask(&mut scratch.sel, self.miss.words(), labels, c as u8);
-                }
-            }
-        }
+        scratch.class_lists(labels_bufs, 0..self.k, self.na.lists_miss());
     }
 
     fn score_tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
-        scratch: &mut ScorerScratch,
+        genes: Range<usize>,
+        scratch: &ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
         debug_assert!(labels_bufs.len() <= stride);
         let k = self.k;
-        let parts = R::parts(scratch);
-        let words = self.miss.words();
-        let mut start = genes.start;
-        while start < genes.end {
-            let chunk = start..(start + SOA_TILE).min(genes.end);
-            let width = chunk.len();
-            let all_clean = !self.any_dirty || self.clean[chunk.clone()].iter().all(|&c| c);
-            parts.lanes.resize(4 * width, R::ZERO);
-            let (scl, rest) = parts.lanes.split_at_mut(width);
-            let (sxyl, rest) = rest.split_at_mut(width);
-            let (syl, syyl) = rest.split_at_mut(width);
-            for j in 0..labels_bufs.len() {
-                sxyl.fill(R::ZERO);
-                syl.fill(R::ZERO);
-                syyl.fill(R::ZERO);
-                // Class sizes are permutation-invariant, so for clean genes
-                // Σy and Σy² collapse to two scalars shared by every lane.
-                let mut sy_const = R::ZERO;
-                let mut syy_const = R::ZERO;
-                // Classes ascending; within a class, columns ascending.
-                for c in 0..k {
-                    let cls = &parts.idx[parts.offsets[j * k + c]..parts.offsets[j * k + c + 1]];
-                    scl.fill(R::ZERO);
-                    for &jc in cls {
-                        lane_add(scl, self.vals.col(jc, &chunk));
-                    }
-                    let cf = R::from_usize(c);
-                    for lane in 0..width {
-                        sxyl[lane] += cf * scl[lane];
-                    }
-                    if all_clean {
-                        let ncf = R::from_usize(cls.len());
-                        sy_const += cf * ncf;
-                        syy_const += cf * cf * ncf;
-                        continue;
-                    }
-                    let sel = &parts.sel[(j * k + c) * words..(j * k + c + 1) * words];
-                    for (lane, g) in chunk.clone().enumerate() {
-                        let nc = if self.clean[g] {
-                            cls.len()
-                        } else {
-                            cls.len() - MissMask::overlap(sel, self.miss.gene(g))
-                        };
-                        let ncf = R::from_usize(nc);
-                        syl[lane] += cf * ncf;
-                        syyl[lane] += cf * cf * ncf;
-                    }
+        let na = &self.na;
+        for_each_block(genes, labels_bufs.len(), out, stride, |b, j, stats| {
+            let block = self.vals.block(b);
+            let clean = na.clean_block[b];
+            let mut sxy = [R::ZERO; LANE];
+            let mut syl = [R::ZERO; LANE];
+            let mut syyl = [R::ZERO; LANE];
+            // Class sizes are permutation-invariant, so for clean genes
+            // Σy and Σy² collapse to two scalars shared by every lane.
+            let mut sy_const = R::ZERO;
+            let mut syy_const = R::ZERO;
+            // Classes ascending; within a class, columns ascending.
+            for c in 0..k {
+                let cls = scratch.list(j * k + c);
+                let sc = sum(block, cls);
+                let cf = R::from_usize(c);
+                for i in 0..LANE {
+                    sxy[i] += cf * sc[i];
                 }
-                for (lane, g) in chunk.clone().enumerate() {
-                    let slot = &mut out[g * stride + j];
-                    let n = self.row_n[g];
-                    // Mirrors the scalar guard: < 3 complete samples ⇒ NaN.
-                    if n < 3 {
-                        *slot = f64::NAN;
-                        continue;
-                    }
-                    let (sy, syy) = if all_clean {
-                        (sy_const, syy_const)
-                    } else {
-                        (syl[lane], syyl[lane])
-                    };
-                    let nf = R::from_usize(n);
-                    let sx = self.total_sum[g];
-                    let sxx = self.total_sumsq[g];
-                    // The scalar formula verbatim: cov/√(vx·vy) with the
-                    // same non-positive-variance guards.
-                    let cov = nf * sxyl[lane] - sx * sy;
-                    let vx = nf * sxx - sx * sx;
-                    let vy = nf * syy - sy * sy;
-                    *slot = if vx <= R::ZERO || vy <= R::ZERO {
-                        f64::NAN
-                    } else {
-                        (cov / (vx * vy).sqrt()).to_f64()
-                    };
+                if clean {
+                    let ncf = R::from_usize(cls.len());
+                    sy_const += cf * ncf;
+                    syy_const += cf * cf * ncf;
+                    continue;
+                }
+                let sel = na.sel(scratch, j * k + c);
+                for i in 0..LANE {
+                    let ncf = R::from_usize(na.present(b * LANE + i, cls.len(), sel));
+                    syl[i] += cf * ncf;
+                    syyl[i] += cf * cf * ncf;
                 }
             }
-            start = chunk.end;
-        }
+            let sx = lanes(&self.total_sum, b);
+            let sxx = lanes(&self.total_sumsq, b);
+            for i in 0..LANE {
+                let n = na.row_n[b * LANE + i];
+                // Mirrors the scalar guard: < 3 complete samples ⇒ NaN.
+                if n < 3 {
+                    stats[i] = f64::NAN;
+                    continue;
+                }
+                let (sy, syy) = if clean {
+                    (sy_const, syy_const)
+                } else {
+                    (syl[i], syyl[i])
+                };
+                let nf = R::from_usize(n);
+                // The scalar formula verbatim: cov/√(vx·vy) with the same
+                // non-positive-variance guards.
+                let cov = nf * sxy[i] - sx[i] * sy;
+                let vx = nf * sxx[i] - sx[i] * sx[i];
+                let vy = nf * syy - sy * sy;
+                stats[i] = if vx <= R::ZERO || vy <= R::ZERO {
+                    f64::NAN
+                } else {
+                    (cov / (vx * vy).sqrt()).to_f64()
+                };
+            }
+        });
     }
 }
 
 /// Fast scorer for `pairt`: per-pair base differences d⁰ = x₂ₚ₊₁ − x₂ₚ and
 /// their square sum are cached; an arrangement only flips signs, so scoring
-/// is **gather-free** — one ±1-broadcast scaled lane add per pair.
+/// is **gather-free** — one ±1-scaled add per pair.
 #[derive(Debug)]
 pub struct PairTScorer<R: Real> {
     pairs: usize,
-    /// Base differences, column-major (one column per pair); incomplete
-    /// pairs hold `+0.0` (±1·0.0 is bitwise-neutral in the signed sum).
-    diffs: SoaColumns<R>,
+    /// Base differences, one column per pair; incomplete pairs hold `+0.0`
+    /// (±1·0.0 is bitwise-neutral in the signed sum).
+    diffs: GeneBlocks<R>,
     /// Per gene: Σ d⁰² over complete pairs (sign-invariant, so equal to the
     /// scalar accumulator's square sum bitwise).
     sumsq: Vec<R>,
@@ -1046,9 +977,9 @@ impl<R: Real> PairTScorer<R> {
     pub fn new(data: &Matrix) -> Self {
         let pairs = data.cols() / 2;
         let rows = data.rows();
-        let mut diffs = SoaColumns::new(rows, pairs);
-        let mut sumsq = Vec::with_capacity(rows);
-        let mut n_vec = Vec::with_capacity(rows);
+        let mut diffs = GeneBlocks::new(rows, pairs);
+        let mut sumsq = Vec::with_capacity(padded_len(rows));
+        let mut n_vec = Vec::with_capacity(padded_len(rows));
         for g in 0..rows {
             let row = data.row(g);
             let mut q = R::ZERO;
@@ -1066,6 +997,8 @@ impl<R: Real> PairTScorer<R> {
             sumsq.push(q);
             n_vec.push(n);
         }
+        sumsq.resize(padded_len(rows), R::ZERO);
+        n_vec.resize(padded_len(rows), 0);
         PairTScorer {
             pairs,
             diffs,
@@ -1082,12 +1015,6 @@ impl<R: Real> Scorer for PairTScorer<R> {
         } else {
             "pairt"
         }
-    }
-
-    fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
-        R::parts(scratch)
-            .lanes
-            .resize(max_tile.min(SOA_TILE), R::ZERO);
     }
 
     fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
@@ -1107,53 +1034,48 @@ impl<R: Real> Scorer for PairTScorer<R> {
     fn score_tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
-        scratch: &mut ScorerScratch,
+        genes: Range<usize>,
+        scratch: &ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
         debug_assert!(labels_bufs.len() <= stride);
         let pairs = self.pairs;
-        let parts = R::parts(scratch);
-        let mut start = genes.start;
-        while start < genes.end {
-            let chunk = start..(start + SOA_TILE).min(genes.end);
-            let width = chunk.len();
-            parts.lanes.resize(width, R::ZERO);
-            let sl = &mut parts.lanes[..width];
-            for j in 0..labels_bufs.len() {
-                let signs = &parts.signs[j * pairs..(j + 1) * pairs];
-                sl.fill(R::ZERO);
-                // ±1·d⁰ is bitwise the scalar's per-pair difference, and the
-                // pair-order sum matches the scalar accumulator exactly.
-                for (p, &w) in signs.iter().enumerate() {
-                    lane_add_scaled(sl, self.diffs.col(p, &chunk), R::from_f64(w));
-                }
-                for (lane, g) in chunk.clone().enumerate() {
-                    let n = self.n[g];
-                    out[g * stride + j] = if n < 2 {
-                        f64::NAN
-                    } else {
-                        pairt_from_moments(n, sl[lane], self.sumsq[g]).to_f64()
-                    };
+        for_each_block(genes, labels_bufs.len(), out, stride, |b, j, stats| {
+            let block = self.diffs.block(b);
+            let signs = &scratch.vals[j * pairs..(j + 1) * pairs];
+            // ±1·d⁰ is bitwise the scalar's per-pair difference, and the
+            // pair-order sum matches the scalar accumulator exactly.
+            let mut s = [R::ZERO; LANE];
+            for (d, &w) in block.iter().zip(signs) {
+                let w = R::from_f64(w);
+                for i in 0..LANE {
+                    s[i] += w * d[i];
                 }
             }
-            start = chunk.end;
-        }
+            let n = lanes(&self.n, b);
+            let sumsq = lanes(&self.sumsq, b);
+            for i in 0..LANE {
+                stats[i] = if n[i] < 2 {
+                    f64::NAN
+                } else {
+                    pairt_from_moments(n[i], s[i], sumsq[i]).to_f64()
+                };
+            }
+        });
     }
 }
 
 /// Fast scorer for `blockf`: block sums, the grand totals, the correction
 /// term, SS_total and SS_block depend only on the data (complete-block
 /// exclusion is label-free), so they are cached; scoring an arrangement is
-/// one lane add per column into k treatment lanes plus an O(k) combine.
+/// one sum per treatment over its columns plus an O(k) combine.
 #[derive(Debug)]
 pub struct BlockFScorer<R: Real> {
     k: usize,
-    cols: usize,
-    /// Pivot-shifted values, column-major; cells of incomplete blocks hold
-    /// `+0.0` so every column can be added unconditionally.
-    vals: SoaColumns<R>,
+    /// Pivot-shifted values; cells of incomplete blocks hold `+0.0` so every
+    /// column can be added unconditionally.
+    vals: GeneBlocks<R>,
     /// Per gene: complete-block count m.
     m_used: Vec<usize>,
     /// Per gene: C = (grand sum)²/(m·k). Garbage when `m_used == 0` — the
@@ -1171,11 +1093,11 @@ impl<R: Real> BlockFScorer<R> {
         let cols = data.cols();
         let rows = data.rows();
         let blocks = cols / k;
-        let mut vals = SoaColumns::new(rows, cols);
-        let mut m_used = Vec::with_capacity(rows);
-        let mut correction = Vec::with_capacity(rows);
-        let mut ss_total = Vec::with_capacity(rows);
-        let mut ss_block = Vec::with_capacity(rows);
+        let mut vals = GeneBlocks::new(rows, cols);
+        let mut m_used = Vec::with_capacity(padded_len(rows));
+        let mut correction = Vec::with_capacity(padded_len(rows));
+        let mut ss_total = Vec::with_capacity(padded_len(rows));
+        let mut ss_block = Vec::with_capacity(padded_len(rows));
         for g in 0..rows {
             let row = data.row(g);
             let pivot = pivot_of(row);
@@ -1208,9 +1130,12 @@ impl<R: Real> BlockFScorer<R> {
             ss_total.push((grand_sumsq - c).max(R::ZERO));
             ss_block.push((block_sum_sq / R::from_usize(k) - c).max(R::ZERO));
         }
+        m_used.resize(padded_len(rows), 0);
+        correction.resize(padded_len(rows), R::ZERO);
+        ss_total.resize(padded_len(rows), R::ZERO);
+        ss_block.resize(padded_len(rows), R::ZERO);
         BlockFScorer {
             k,
-            cols,
             vals,
             m_used,
             correction,
@@ -1229,63 +1154,48 @@ impl<R: Real> Scorer for BlockFScorer<R> {
         }
     }
 
-    fn warm_scratch(&self, scratch: &mut ScorerScratch, max_tile: usize) {
-        R::parts(scratch)
-            .lanes
-            .resize(self.k * max_tile.min(SOA_TILE), R::ZERO);
+    fn begin_batch(&self, labels_bufs: &[Vec<u8>], scratch: &mut ScorerScratch) {
+        // Treatment-major column lists: slot j·k + t. Each treatment's
+        // accumulator sees its cells in ascending column order, exactly as
+        // the scalar cell walk feeds it.
+        scratch.class_lists(labels_bufs, 0..self.k, None);
     }
-
-    fn begin_batch(&self, _labels_bufs: &[Vec<u8>], _scratch: &mut ScorerScratch) {}
 
     fn score_tile(
         &self,
         labels_bufs: &[Vec<u8>],
-        genes: std::ops::Range<usize>,
-        scratch: &mut ScorerScratch,
+        genes: Range<usize>,
+        scratch: &ScorerScratch,
         out: &mut [f64],
         stride: usize,
     ) {
         debug_assert!(labels_bufs.len() <= stride);
         let k = self.k;
-        let parts = R::parts(scratch);
-        let mut start = genes.start;
-        while start < genes.end {
-            let chunk = start..(start + SOA_TILE).min(genes.end);
-            let width = chunk.len();
-            parts.lanes.resize(k * width, R::ZERO);
-            for (j, labels) in labels_bufs.iter().enumerate() {
-                parts.lanes.fill(R::ZERO);
-                // One lane add per column, in the scalar's exact ascending
-                // cell order; excluded cells contribute a bitwise-neutral
-                // +0.0 to whatever treatment their label names.
-                for (col, &l) in labels.iter().enumerate().take(self.cols) {
-                    let t = l as usize;
-                    lane_add(
-                        &mut parts.lanes[t * width..(t + 1) * width],
-                        self.vals.col(col, &chunk),
-                    );
-                }
-                for (lane, g) in chunk.clone().enumerate() {
-                    let m = self.m_used[g];
-                    if m < 2 {
-                        out[g * stride + j] = f64::NAN;
-                        continue;
-                    }
-                    // Σ_t (treat sum)² in ascending treatment order — the
-                    // scalar iterator-sum sequence.
-                    let mut sq = R::ZERO;
-                    for t in 0..k {
-                        let s = parts.lanes[t * width + lane];
-                        sq += s * s;
-                    }
-                    let ss_treat = (sq / R::from_usize(m) - self.correction[g]).max(R::ZERO);
-                    out[g * stride + j] =
-                        blockf_from_sums(k, m, ss_treat, self.ss_block[g], self.ss_total[g])
-                            .to_f64();
+        for_each_block(genes, labels_bufs.len(), out, stride, |b, j, stats| {
+            let block = self.vals.block(b);
+            // Σ_t (treatment sum)² in ascending treatment order — the scalar
+            // iterator-sum sequence; excluded cells contribute a
+            // bitwise-neutral +0.0 to whatever treatment their label names.
+            let mut sq = [R::ZERO; LANE];
+            for t in 0..k {
+                let s = sum(block, scratch.list(j * k + t));
+                for i in 0..LANE {
+                    sq[i] += s[i] * s[i];
                 }
             }
-            start = chunk.end;
-        }
+            let m = lanes(&self.m_used, b);
+            let correction = lanes(&self.correction, b);
+            let ss_block = lanes(&self.ss_block, b);
+            let ss_total = lanes(&self.ss_total, b);
+            for i in 0..LANE {
+                stats[i] = if m[i] < 2 {
+                    f64::NAN
+                } else {
+                    let ss_treat = (sq[i] / R::from_usize(m[i]) - correction[i]).max(R::ZERO);
+                    blockf_from_sums(k, m[i], ss_treat, ss_block[i], ss_total[i]).to_f64()
+                };
+            }
+        });
     }
 }
 
@@ -1553,12 +1463,11 @@ mod tests {
         for scorer in &scorers {
             let stride = bufs.len();
             let mut scratch = scorer.make_scratch();
-            scorer.warm_scratch(&mut scratch, 3);
             scorer.begin_batch(&bufs, &mut scratch);
             let mut batched = vec![f64::NAN; 3 * stride];
-            // Two tiles to exercise tile boundaries.
-            scorer.score_tile(&bufs, 0..2, &mut scratch, &mut batched, stride);
-            scorer.score_tile(&bufs, 2..3, &mut scratch, &mut batched, stride);
+            // Two ranges, the second starting inside the first block.
+            scorer.score_tile(&bufs, 0..2, &scratch, &mut batched, stride);
+            scorer.score_tile(&bufs, 2..3, &scratch, &mut batched[2 * stride..], stride);
             for (j, labels) in arrangements.iter().enumerate() {
                 let single = stats_for(scorer.as_ref(), labels, 3);
                 for g in 0..3 {
@@ -1631,10 +1540,10 @@ mod tests {
     }
 
     #[test]
-    fn tile_chunking_crosses_soa_tile_boundaries_bitwise() {
-        // More genes than SOA_TILE forces multiple lane chunks inside one
-        // score_tile call; results must match the per-gene path bitwise.
-        let genes = SOA_TILE + 17;
+    fn block_walk_crosses_block_boundaries_bitwise() {
+        // Many blocks plus a partial last block inside one score_tile call;
+        // results must match the per-gene path bitwise.
+        let genes = 16 * LANE + 5;
         let cols = 6;
         let mut data = Vec::with_capacity(genes * cols);
         for g in 0..genes {
@@ -1650,7 +1559,7 @@ mod tests {
         let mut scratch = scorer.make_scratch();
         scorer.begin_batch(&bufs, &mut scratch);
         let mut all = vec![f64::NAN; genes];
-        scorer.score_tile(&bufs, 0..genes, &mut scratch, &mut all, 1);
+        scorer.score_tile(&bufs, 0..genes, &scratch, &mut all, 1);
         let single = stats_for(&scorer, &labels, genes);
         for g in 0..genes {
             assert_eq!(all[g].to_bits(), single[g].to_bits(), "gene {g}");

@@ -1,40 +1,37 @@
-//! Structure-of-arrays score tiles: the data layout and lane kernels behind
-//! the fast scorers (DESIGN.md §4.10).
+//! Block-packed score tiles: the data layout behind the fast scorers
+//! (DESIGN.md §4.10).
 //!
 //! The scalar layout is gene-major (`row[g][col]`): scoring one arrangement
 //! walks a gather list per gene, so every add depends on the previous one and
-//! the loop never vectorizes. This module transposes the cached sufficient
-//! statistics into **column-major lanes** (`col[c][g]`): scoring walks the
-//! selected columns in the *outer* loop and accumulates a contiguous lane of
-//! genes in the *inner* loop. Each gene still sees its values in ascending
-//! column order — the exact order the scalar accumulators push — so the f64
-//! sums are bitwise identical to the scalar path, while the lane loop is a
-//! pure independent-accumulator form the compiler autovectorizes.
+//! the loop never vectorizes. This module packs the cached sufficient
+//! statistics into **gene blocks**: [`LANE`] genes side by side, with all
+//! columns of a block contiguous (`block[b][col][lane]`). Scoring walks a
+//! block, then the arrangements of the batch, then the selected columns in
+//! ascending order, accumulating the block's genes at once in fixed-width
+//! arrays that stay in registers. A block of the paper's 76-sample shape is
+//! 76 × 64 B ≈ 4.9 KB at `f64`, so it stays in L1 across the whole batch.
+//! Each gene still sees its values in ascending column order — the exact
+//! order the scalar accumulators push — so the f64 sums are bitwise
+//! identical to the scalar path.
 //!
-//! Missing cells are stored as `+0.0` in the lanes. That is bitwise-neutral:
-//! an IEEE accumulator that starts at `+0.0` can never become `-0.0` by
-//! adding finite values (`x + (-x) = +0.0`, `+0.0 + ±0.0 = +0.0`), so adding
-//! a zeroed cell leaves the running sum's bits untouched. Counts are fixed up
+//! Missing cells are stored as `+0.0`. That is bitwise-neutral: an IEEE
+//! accumulator that starts at `+0.0` can never become `-0.0` by adding
+//! finite values (`x + (-x) = +0.0`, `+0.0 + ±0.0 = +0.0`), so adding a
+//! zeroed cell leaves the running sum's bits untouched. Counts are fixed up
 //! separately via [`MissMask`]: a per-gene missing-column bitset ANDed with a
 //! per-arrangement selected-column bitset, one `popcount` per dirty gene.
 //!
 //! Everything is generic over [`Real`] (`f64`/`f32`): the same kernels serve
 //! the bitwise-exact default and the opt-in `SPRINT_PRECISION=f32` mode.
 
-use crate::stats::scorer::{ScorerScratch, ScratchParts};
+use std::ops::Range;
 
-/// Lane width (elements) of the `chunks_exact` kernels. Eight elements is a
-/// full AVX-512 vector of `f64` / half a vector of `f32`, and small enough
-/// that the remainder loop is negligible for any tile shape.
+/// Genes per block: the width of the register accumulators. Eight `f64`
+/// lanes are one cache line per column and four SSE2 vectors, enough
+/// independent add chains to hide the add latency.
 pub const LANE: usize = 8;
 
-/// Gene-lane sub-tile width of the SoA scorers: each `score_tile` call is cut
-/// into chunks of this many genes so the lane accumulators (a few KB) stay in
-/// L1 across the whole arrangement batch. Per-gene arithmetic is independent
-/// of the chunk geometry, so results are bitwise identical for any value.
-pub const SOA_TILE: usize = 128;
-
-/// An accumulation element type of the SoA kernels: `f64` (reference,
+/// An accumulation element type of the block kernels: `f64` (reference,
 /// bitwise-reproducible) or `f32` (opt-in, bounded error). The trait carries
 /// exactly the operations the statistic combines use, so the generic scorer
 /// code reads like the scalar formulas.
@@ -70,40 +67,6 @@ pub trait Real:
     fn sqrt(self) -> Self;
     /// IEEE max (NaN-discarding, like `f64::max`).
     fn max(self, other: Self) -> Self;
-
-    /// Split the shared scratch into the per-arrangement views plus this
-    /// precision's lane buffer. A single borrow-splitting accessor, so the
-    /// index lists stay readable while the lanes are written.
-    fn parts(scratch: &mut ScorerScratch) -> ScratchParts<'_, Self>
-    where
-        Self: Sized;
-
-    /// Explicit-SIMD hook for [`lane_add`]; returns true when handled.
-    #[inline]
-    fn simd_add(_acc: &mut [Self], _src: &[Self]) -> bool
-    where
-        Self: Sized,
-    {
-        false
-    }
-
-    /// Explicit-SIMD hook for [`lane_add_sq`]; returns true when handled.
-    #[inline]
-    fn simd_add_sq(_sums: &mut [Self], _sqs: &mut [Self], _src: &[Self]) -> bool
-    where
-        Self: Sized,
-    {
-        false
-    }
-
-    /// Explicit-SIMD hook for [`lane_add_scaled`]; returns true when handled.
-    #[inline]
-    fn simd_add_scaled(_acc: &mut [Self], _src: &[Self], _w: Self) -> bool
-    where
-        Self: Sized,
-    {
-        false
-    }
 }
 
 impl Real for f64 {
@@ -138,26 +101,6 @@ impl Real for f64 {
     fn max(self, other: Self) -> Self {
         f64::max(self, other)
     }
-
-    fn parts(scratch: &mut ScorerScratch) -> ScratchParts<'_, Self> {
-        scratch.parts_f64()
-    }
-
-    #[cfg(feature = "explicit-simd")]
-    #[inline]
-    fn simd_add(acc: &mut [Self], src: &[Self]) -> bool {
-        super::simd::add_f64(acc, src)
-    }
-    #[cfg(feature = "explicit-simd")]
-    #[inline]
-    fn simd_add_sq(sums: &mut [Self], sqs: &mut [Self], src: &[Self]) -> bool {
-        super::simd::add_sq_f64(sums, sqs, src)
-    }
-    #[cfg(feature = "explicit-simd")]
-    #[inline]
-    fn simd_add_scaled(acc: &mut [Self], src: &[Self], w: Self) -> bool {
-        super::simd::add_scaled_f64(acc, src, w)
-    }
 }
 
 impl Real for f32 {
@@ -191,26 +134,6 @@ impl Real for f32 {
     #[inline]
     fn max(self, other: Self) -> Self {
         f32::max(self, other)
-    }
-
-    fn parts(scratch: &mut ScorerScratch) -> ScratchParts<'_, Self> {
-        scratch.parts_f32()
-    }
-
-    #[cfg(feature = "explicit-simd")]
-    #[inline]
-    fn simd_add(acc: &mut [Self], src: &[Self]) -> bool {
-        super::simd::add_f32(acc, src)
-    }
-    #[cfg(feature = "explicit-simd")]
-    #[inline]
-    fn simd_add_sq(sums: &mut [Self], sqs: &mut [Self], src: &[Self]) -> bool {
-        super::simd::add_sq_f32(sums, sqs, src)
-    }
-    #[cfg(feature = "explicit-simd")]
-    #[inline]
-    fn simd_add_scaled(acc: &mut [Self], src: &[Self], w: Self) -> bool {
-        super::simd::add_scaled_f32(acc, src, w)
     }
 }
 
@@ -250,42 +173,86 @@ impl<R: Real> std::fmt::Debug for AlignedBuf<R> {
     }
 }
 
-/// Column-major gene lanes: `cols` columns of `genes` values each, every
-/// column padded to a whole number of cache lines so `col(c, ..)` slices
-/// start aligned. Cells default to `+0.0` — the bitwise-neutral encoding of
-/// "missing" (see the module docs).
+/// Block-packed gene lanes: `genes` rounded up to whole blocks of [`LANE`]
+/// genes, each block holding `cols` lanes of `LANE` values back to back, so
+/// with `f64` every (block, column) lane is one aligned cache line. Cells
+/// default to `+0.0` — the bitwise-neutral encoding of "missing" (see the
+/// module docs); the padding genes of the last block stay zero.
 #[derive(Debug)]
-pub(crate) struct SoaColumns<R: Real> {
-    lanes: usize,
+pub(crate) struct GeneBlocks<R: Real> {
+    cols: usize,
     buf: AlignedBuf<R>,
 }
 
-impl<R: Real> SoaColumns<R> {
-    /// Allocate zeroed lanes for `genes × cols` cells.
+impl<R: Real> GeneBlocks<R> {
+    /// Allocate zeroed blocks for `genes × cols` cells.
     pub fn new(genes: usize, cols: usize) -> Self {
-        let pad = 64 / std::mem::size_of::<R>();
-        let lanes = genes.div_ceil(pad).max(1) * pad;
-        SoaColumns {
-            lanes,
-            buf: AlignedBuf::zeroed(lanes * cols),
+        GeneBlocks {
+            cols,
+            buf: AlignedBuf::zeroed(padded_len(genes) * cols),
         }
     }
 
     /// Store one cell.
     pub fn set(&mut self, col: usize, gene: usize, v: R) {
-        self.buf.as_mut_slice()[col * self.lanes + gene] = v;
+        self.buf.as_mut_slice()[(gene / LANE * self.cols + col) * LANE + gene % LANE] = v;
     }
 
-    /// The gene lane of one column, restricted to a gene range.
+    /// Block `b`: one `LANE`-gene lane per column, indexed by column.
     #[inline]
-    pub fn col(&self, col: usize, genes: &std::ops::Range<usize>) -> &[R] {
-        let base = col * self.lanes;
-        &self.buf.as_slice()[base + genes.start..base + genes.end]
+    pub fn block(&self, b: usize) -> &[[R; LANE]] {
+        let len = self.cols * LANE;
+        self.buf.as_slice()[b * len..(b + 1) * len].as_chunks().0
+    }
+}
+
+/// `genes` rounded up to whole blocks: the length of every per-gene vector a
+/// fast scorer reads block-wise.
+pub(crate) fn padded_len(genes: usize) -> usize {
+    genes.div_ceil(LANE) * LANE
+}
+
+/// The `LANE` entries of block `b` in a per-gene vector of
+/// [`padded_len`] entries.
+#[inline]
+pub(crate) fn lanes<T>(v: &[T], b: usize) -> &[T; LANE] {
+    v[b * LANE..(b + 1) * LANE]
+        .try_into()
+        .expect("per-gene vectors are padded to whole blocks")
+}
+
+/// Walk the blocks overlapping `genes`: for every block `b` and arrangement
+/// `j < k`, `score(b, j, stats)` fills the statistics of the block's `LANE`
+/// genes, and those inside the range land at
+/// `out[(g − genes.start)·stride + j]`. A range may start or end inside a
+/// block (window scoring splits anywhere); the block is then scored whole and only its in-range lanes are
+/// stored, so every gene's statistic is independent of the range geometry.
+#[inline]
+pub(crate) fn for_each_block(
+    genes: Range<usize>,
+    k: usize,
+    out: &mut [f64],
+    stride: usize,
+    mut score: impl FnMut(usize, usize, &mut [f64; LANE]),
+) {
+    if genes.is_empty() {
+        return;
+    }
+    let mut stats = [0.0f64; LANE];
+    for b in genes.start / LANE..genes.end.div_ceil(LANE) {
+        let lo = (b * LANE).max(genes.start);
+        let hi = ((b + 1) * LANE).min(genes.end);
+        for j in 0..k {
+            score(b, j, &mut stats);
+            for g in lo..hi {
+                out[(g - genes.start) * stride + j] = stats[g - b * LANE];
+            }
+        }
     }
 }
 
 /// Per-gene missing-column bitsets plus the popcount machinery that corrects
-/// group counts for dirty genes without touching the lane sums.
+/// group counts for dirty genes without touching the block sums.
 #[derive(Debug, Default)]
 pub(crate) struct MissMask {
     /// `u64` words per gene.
@@ -344,79 +311,6 @@ pub(crate) fn push_sel_mask(out: &mut Vec<u64>, words: usize, labels: &[u8], cla
     }
 }
 
-/// `acc[i] += src[i]` over a gene lane.
-#[inline]
-pub(crate) fn lane_add<R: Real>(acc: &mut [R], src: &[R]) {
-    debug_assert_eq!(acc.len(), src.len());
-    #[cfg(feature = "explicit-simd")]
-    if R::simd_add(acc, src) {
-        return;
-    }
-    let mut a = acc.chunks_exact_mut(LANE);
-    let mut s = src.chunks_exact(LANE);
-    for (a, s) in (&mut a).zip(&mut s) {
-        for i in 0..LANE {
-            a[i] += s[i];
-        }
-    }
-    for (a, s) in a.into_remainder().iter_mut().zip(s.remainder()) {
-        *a += *s;
-    }
-}
-
-/// `sums[i] += src[i]; sqs[i] += src[i]²` over a gene lane — the fused
-/// moment gather of the two-sample and F scorers.
-#[inline]
-pub(crate) fn lane_add_sq<R: Real>(sums: &mut [R], sqs: &mut [R], src: &[R]) {
-    debug_assert_eq!(sums.len(), src.len());
-    debug_assert_eq!(sqs.len(), src.len());
-    #[cfg(feature = "explicit-simd")]
-    if R::simd_add_sq(sums, sqs, src) {
-        return;
-    }
-    let mut su = sums.chunks_exact_mut(LANE);
-    let mut sq = sqs.chunks_exact_mut(LANE);
-    let mut s = src.chunks_exact(LANE);
-    for ((su, sq), s) in (&mut su).zip(&mut sq).zip(&mut s) {
-        for i in 0..LANE {
-            let v = s[i];
-            su[i] += v;
-            sq[i] += v * v;
-        }
-    }
-    for ((su, sq), s) in su
-        .into_remainder()
-        .iter_mut()
-        .zip(sq.into_remainder())
-        .zip(s.remainder())
-    {
-        let v = *s;
-        *su += v;
-        *sq += v * v;
-    }
-}
-
-/// `acc[i] += w·src[i]` over a gene lane — the sign-broadcast kernel of the
-/// gather-free paired-t path (`w = ±1`).
-#[inline]
-pub(crate) fn lane_add_scaled<R: Real>(acc: &mut [R], src: &[R], w: R) {
-    debug_assert_eq!(acc.len(), src.len());
-    #[cfg(feature = "explicit-simd")]
-    if R::simd_add_scaled(acc, src, w) {
-        return;
-    }
-    let mut a = acc.chunks_exact_mut(LANE);
-    let mut s = src.chunks_exact(LANE);
-    for (a, s) in (&mut a).zip(&mut s) {
-        for i in 0..LANE {
-            a[i] += w * s[i];
-        }
-    }
-    for (a, s) in a.into_remainder().iter_mut().zip(s.remainder()) {
-        *a += w * *s;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,23 +331,51 @@ mod tests {
     }
 
     #[test]
-    fn soa_columns_round_trip_and_align() {
-        let mut soa = SoaColumns::<f64>::new(13, 3);
+    fn gene_blocks_round_trip_pad_and_align() {
+        let genes = LANE + 5;
+        let mut blocks = GeneBlocks::<f64>::new(genes, 3);
         for c in 0..3 {
-            for g in 0..13 {
-                soa.set(c, g, (c * 100 + g) as f64);
+            for g in 0..genes {
+                blocks.set(c, g, (c * 100 + g) as f64);
             }
         }
-        for c in 0..3 {
-            let lane = soa.col(c, &(0..13));
-            assert_eq!(lane.len(), 13);
-            assert_eq!(lane.as_ptr() as usize % 64, 0, "col {c}");
-            for (g, &v) in lane.iter().enumerate() {
-                assert_eq!(v, (c * 100 + g) as f64);
+        for b in 0..2 {
+            let block = blocks.block(b);
+            assert_eq!(block.len(), 3);
+            for (c, lane) in block.iter().enumerate() {
+                assert_eq!(lane.as_ptr() as usize % 64, 0, "block {b} col {c}");
+                for (i, &v) in lane.iter().enumerate() {
+                    let g = b * LANE + i;
+                    // Padding genes past the end stay +0.0.
+                    let want = if g < genes { (c * 100 + g) as f64 } else { 0.0 };
+                    assert_eq!(v.to_bits(), want.to_bits(), "gene {g} col {c}");
+                }
             }
         }
-        // Sub-ranges slice the same lane.
-        assert_eq!(soa.col(1, &(5..8)), &[105.0, 106.0, 107.0]);
+        assert_eq!(padded_len(genes), 2 * LANE);
+        let per_gene: Vec<usize> = (0..padded_len(genes)).collect();
+        assert_eq!(lanes(&per_gene, 1)[0], LANE);
+    }
+
+    #[test]
+    fn block_walk_stores_only_in_range_lanes() {
+        // A range starting and ending inside blocks: every in-range gene is
+        // written once per arrangement at its range-relative row, nothing
+        // else is touched.
+        let genes = 3..(2 * LANE + 2);
+        let k = 2;
+        let mut out = vec![-1.0f64; genes.len() * k + 1];
+        for_each_block(genes.clone(), k, &mut out, k, |b, j, stats| {
+            for (i, s) in stats.iter_mut().enumerate() {
+                *s = ((b * LANE + i) * 10 + j) as f64;
+            }
+        });
+        for (row, g) in genes.clone().enumerate() {
+            for j in 0..k {
+                assert_eq!(out[row * k + j], (g * 10 + j) as f64);
+            }
+        }
+        assert_eq!(out[genes.len() * k], -1.0);
     }
 
     #[test]
@@ -474,42 +396,20 @@ mod tests {
     }
 
     #[test]
-    fn lane_kernels_match_scalar_loops_including_remainders() {
-        // Lengths straddling the chunks_exact boundary exercise remainders.
-        for len in [1usize, 7, 8, 9, 16, 19] {
-            let src: Vec<f64> = (0..len).map(|i| i as f64 * 0.5 - 3.0).collect();
-            let mut acc = vec![1.0; len];
-            lane_add(&mut acc, &src);
-            let mut sums = vec![0.25; len];
-            let mut sqs = vec![0.5; len];
-            lane_add_sq(&mut sums, &mut sqs, &src);
-            let mut scaled = vec![2.0; len];
-            lane_add_scaled(&mut scaled, &src, -1.0);
-            for i in 0..len {
-                assert_eq!(acc[i].to_bits(), (1.0 + src[i]).to_bits());
-                assert_eq!(sums[i].to_bits(), (0.25 + src[i]).to_bits());
-                assert_eq!(sqs[i].to_bits(), (0.5 + src[i] * src[i]).to_bits());
-                #[allow(clippy::neg_multiply)]
-                let want = 2.0 + -1.0 * src[i];
-                assert_eq!(scaled[i].to_bits(), want.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn zero_cells_are_bitwise_neutral_in_running_sums() {
-        // The lemma the SoA layout rests on: adding ±0.0 to an accumulator
+        // The lemma the block layout rests on: adding ±0.0 to an accumulator
         // that started at +0.0 never flips it to -0.0, so zeroed missing
         // cells cannot perturb any sum bit.
         let mut acc = [0.0f64, 3.5, -3.5];
-        let zeros = [0.0f64, 0.0, -0.0];
-        lane_add(&mut acc, &zeros);
+        for (a, z) in acc.iter_mut().zip([0.0f64, 0.0, -0.0]) {
+            *a += z;
+        }
         assert_eq!(acc[0].to_bits(), 0.0f64.to_bits());
         assert_eq!(acc[1].to_bits(), 3.5f64.to_bits());
         assert_eq!(acc[2].to_bits(), (-3.5f64).to_bits());
         // x + (-x) lands on +0.0, not -0.0.
-        let mut acc = [2.5f64];
-        lane_add(&mut acc, &[-2.5]);
-        assert_eq!(acc[0].to_bits(), 0.0f64.to_bits());
+        let mut acc = 2.5f64;
+        acc += -2.5;
+        assert_eq!(acc.to_bits(), 0.0f64.to_bits());
     }
 }

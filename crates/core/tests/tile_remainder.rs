@@ -1,13 +1,13 @@
 //! Tile-geometry invariance of the fast scorers.
 //!
-//! The SoA fast path processes genes in `SOA_TILE`-wide sub-tiles and
-//! samples in `LANE`-wide SIMD chunks with scalar remainders. These tests
-//! pin the contract that makes every engine geometry interchangeable: the
-//! per-(gene, arrangement) operation sequence is independent of where tile
-//! boundaries fall, so splitting a gene range at **any** point — including
-//! gene counts that are not a multiple of either width, and odd sample
-//! counts that leave lane remainders — reproduces the unsplit result
-//! bitwise, NA cells included.
+//! The fast path packs genes into blocks of `LANE` and scores gene ranges
+//! block by block; a range may start or end inside a block (window scoring
+//! splits anywhere). These tests pin the contract that makes every engine
+//! geometry interchangeable: the per-(gene, arrangement) operation sequence
+//! is independent of where range boundaries fall, so splitting a gene range
+//! at **any** points — including gene counts that are not a multiple of the
+//! block width, windows that start and end inside a block, and odd sample
+//! counts — reproduces the unsplit result bitwise, NA cells included.
 
 use proptest::prelude::*;
 
@@ -17,6 +17,7 @@ use sprint_core::options::{KernelChoice, PmaxtOptions, Precision, TestMethod};
 use sprint_core::perm::build_generator;
 use sprint_core::stats::prepare_matrix;
 use sprint_core::stats::scorer::build_scorer;
+use sprint_core::stats::soa::LANE;
 
 /// Valid labels per method. `a`/`b`/`c` are deliberately allowed to be odd
 /// so the two-sample and `f` cells exercise lane remainders; the paired and
@@ -43,36 +44,55 @@ fn labels_for(method: TestMethod, a: usize, b: usize, c: usize) -> Vec<u8> {
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn geometry() -> impl Strategy<Value = (usize, usize, usize, Vec<f64>, Vec<bool>, Vec<u8>, u64)> {
-    // Gene counts straddle the SOA_TILE = 128 sub-tile boundary and are
-    // almost never a multiple of it; odd a/b/c leave LANE = 8 remainders.
-    (0usize..8, 3usize..8, 3usize..8, 2usize..5, 1usize..140).prop_flat_map(
-        |(method_sel, a, b, c, genes)| {
+/// One generated case: method index, gene count, two split points, cell
+/// values, NA mask, identity labels and permutation count.
+type Case = (
+    usize,
+    usize,
+    (usize, usize),
+    Vec<f64>,
+    Vec<bool>,
+    Vec<u8>,
+    u64,
+);
+
+fn geometry() -> impl Strategy<Value = Case> {
+    // Gene counts span up to 17 blocks and are rarely a multiple of LANE;
+    // odd a/b/c give odd sample counts.
+    (
+        0usize..8,
+        3usize..8,
+        3usize..8,
+        2usize..5,
+        1usize..(17 * LANE + 5),
+    )
+        .prop_flat_map(|(method_sel, a, b, c, genes)| {
             let labels = labels_for(TestMethod::ALL[method_sel], a, b, c);
             let cells = genes * labels.len();
             (
                 Just(method_sel),
                 Just(genes),
-                1usize..(genes + 1), // split point for the tile boundary
+                // Two split points: the middle window usually starts and
+                // ends inside a block.
+                (0usize..(genes + 1), 0usize..(genes + 1)),
                 proptest::collection::vec(-40.0f64..120.0, cells),
                 proptest::collection::vec(proptest::bool::weighted(0.15), cells),
                 Just(labels),
                 4u64..12, // batch of arrangements
             )
-        },
-    )
+        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Splitting the gene range at an arbitrary point, and scoring one
+    /// Splitting the gene range into three windows at arbitrary points
+    /// (windows that start inside a block included), and scoring one
     /// arrangement at a time through `stats_into`, are both bitwise
     /// identical to one full-width `score_tile` call.
     #[test]
     fn split_tiles_and_single_arrangements_match_full_tile_bitwise(
-        (method_sel, genes, split, mut values, na_mask, raw_labels, b) in geometry()
+        (method_sel, genes, cuts, mut values, na_mask, raw_labels, b) in geometry()
     ) {
         for (v, &is_na) in values.iter_mut().zip(&na_mask) {
             if is_na {
@@ -107,17 +127,21 @@ proptest! {
         let mut scratch = scorer.make_scratch();
         scorer.begin_batch(&bufs, &mut scratch);
         let mut full = vec![0.0f64; genes * stride];
-        scorer.score_tile(&bufs, 0..genes, &mut scratch, &mut full, stride);
+        scorer.score_tile(&bufs, 0..genes, &scratch, &mut full, stride);
 
-        // Same batch, gene range split at an arbitrary point.
+        // Same batch, gene range split into three windows; each window's
+        // output starts at its own first gene.
+        let (lo, hi) = (cuts.0.min(cuts.1), cuts.0.max(cuts.1));
         let mut split_out = vec![0.0f64; genes * stride];
-        scorer.score_tile(&bufs, 0..split, &mut scratch, &mut split_out, stride);
-        scorer.score_tile(&bufs, split..genes, &mut scratch, &mut split_out, stride);
+        for window in [0..lo, lo..hi, hi..genes] {
+            let out = &mut split_out[window.start * stride..];
+            scorer.score_tile(&bufs, window, &scratch, out, stride);
+        }
         for (g, (f, s)) in full.iter().zip(&split_out).enumerate() {
             prop_assert_eq!(
                 f.to_bits(), s.to_bits(),
-                "split at {} diverges at slot {} ({:?}, {} genes, {} cols)",
-                split, g, method, genes, cols
+                "split at {}/{} diverges at slot {} ({:?}, {} genes, {} cols)",
+                lo, hi, g, method, genes, cols
             );
         }
 

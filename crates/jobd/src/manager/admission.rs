@@ -193,6 +193,8 @@ impl JobManager {
             prog.state = JobState::Finished;
             prog.cache = CacheDisposition::Hit;
             prog.cursor = work.b;
+            // Like a settled job, a hit keeps its result and no counts.
+            prog.counts = CountAccumulator::new(0);
         };
         if work.opts.workload == Workload::Bootstrap {
             // Interval estimates are order statistics: there is no prefix
@@ -214,7 +216,6 @@ impl JobManager {
                 prog.result = Some(ctx.finalize(&state.counts));
                 prog.adaptive = (work.mode == Mode::Adaptive)
                     .then(|| collapsed_adaptive_report(&ctx, &state.counts, work.b));
-                prog.counts = state.counts;
                 finish(&mut prog);
             }
             CacheProbe::Partial(state) => {

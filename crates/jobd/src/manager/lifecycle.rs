@@ -6,6 +6,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 
 use sprint_core::error::Error as CoreError;
+use sprint_core::maxt::CountAccumulator;
 
 use super::queries::event_of;
 use super::{plock, Inner, Job, JobProgress, JobState};
@@ -50,6 +51,12 @@ pub(super) fn settle(
         }
         apply(&mut prog);
         prog.state = state;
+        if state.is_terminal() {
+            // The counts are folded into the result (or abandoned) now;
+            // free them, so a daemon keeps one result per settled job and
+            // no second per-gene copy for as long as it lives.
+            prog.counts = CountAccumulator::new(0);
+        }
         // The live counter never runs ahead of the durable cursor across a
         // transition: an interrupted slice's partial progress is discarded.
         job.live_done.store(prog.cursor, Ordering::Relaxed);

@@ -58,6 +58,49 @@ fn single_job_matches_mt_maxt_bitwise() {
     assert_eq!(status.computed, 97);
 }
 
+/// Genes of the exceedance counts a job still holds.
+fn held_count_genes(mgr: &JobManager, id: u64) -> usize {
+    let job = plock(&mgr.inner.jobs)
+        .get(&id)
+        .cloned()
+        .expect("job registered");
+    let genes = plock(&job.prog).counts.genes();
+    genes
+}
+
+#[test]
+fn settled_jobs_keep_their_result_but_not_their_counts() {
+    let (data, labels) = small_dataset();
+    let dir = std::env::temp_dir().join(format!("sprint-jobd-held-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cfg = ManagerConfig {
+        workers: 1,
+        span: 16,
+        cache_dir: Some(dir.clone()),
+        ..ManagerConfig::default()
+    };
+    let spec = JobSpec {
+        data: data.clone(),
+        classlabel: labels.clone(),
+        opts: PmaxtOptions::default().permutations(60),
+        source_path: None,
+    };
+    let direct = mt_maxt(&data, &labels, &spec.opts).unwrap();
+    // Computed, then served whole from the cache by a restarted daemon.
+    let mgr = JobManager::new(cfg.clone()).unwrap();
+    let computed = mgr.submit(spec.clone()).unwrap();
+    let served = mgr.wait_result(computed.id, Some(Duration::from_secs(30)));
+    assert_eq!(served.unwrap(), direct);
+    assert_eq!(held_count_genes(&mgr, computed.id), 0);
+    drop(mgr);
+    let mgr = JobManager::new(cfg).unwrap();
+    let hit = mgr.submit(spec).unwrap();
+    assert_eq!(hit.cache, CacheDisposition::Hit);
+    assert_eq!(mgr.result(hit.id).unwrap(), direct);
+    assert_eq!(held_count_genes(&mgr, hit.id), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn bootstrap_job_matches_boot_run_bitwise() {
     let (data, labels) = small_dataset();
